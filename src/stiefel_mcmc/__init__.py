@@ -15,17 +15,8 @@ from .errors import (
     ParseError,
     StiefelMcmcError,
 )
-from .frames import (
-    BmfParams,
-    OrthonormalFrame,
-    VectorBmfParams,
-    canonicalize_bmf,
-    log_density_bmf,
-    log_density_vector_bmf,
-    random_uniform_frame,
-)
+from .frames import OrthonormalFrame, random_uniform_frame
 from .samplers import (
-    GibbsKernelState,
     sample_bingham_matrix_gibbs,
     sample_bingham_vector,
     sample_mf_matrix,
@@ -37,10 +28,7 @@ __all__ = [
     "__version__",
     "StiefelMcmcError", "DimensionError", "ConstraintError", "InputError",
     "ParseError",
-    "OrthonormalFrame", "BmfParams", "VectorBmfParams",
-    "random_uniform_frame", "canonicalize_bmf",
-    "log_density_bmf", "log_density_vector_bmf",
-    "GibbsKernelState",
+    "OrthonormalFrame", "random_uniform_frame",
     "sample_mf_vector", "sample_bingham_vector",
     "sample_mf_matrix", "sample_mf_matrix_gibbs", "sample_bingham_matrix_gibbs",
 ]

@@ -7,8 +7,9 @@ svd-fit    Gibbs estimation of the low-rank mean from Y.csv
 eigen-fit  latent-eigenmodel analysis of a symmetric binary network
 
 Every run writes a manifest.json (full configuration, seed, package
-version, kernel backend) next to its outputs; re-running with the same
-configuration and seed reproduces the numeric outputs byte for byte.
+version, ``kernels.BACKEND``) next to its outputs; re-running with the
+same configuration and seed reproduces the numeric outputs byte for
+byte, given the same NumPy, SciPy and BLAS.
 Exit codes: 0 success, 2 validation/input error, 3 I/O error. The
 STIEFEL_MCMC_LOG environment variable (DEBUG/INFO/WARNING/ERROR) controls
 log verbosity.

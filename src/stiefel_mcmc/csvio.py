@@ -47,13 +47,10 @@ def _read_rows(path) -> list[tuple[int, list[str]]]:
     """All non-blank CSV rows with their 1-based line numbers."""
     path = Path(path)
     rows = []
-    try:
-        with open(path, newline="") as fh:
-            for lineno, row in enumerate(csv.reader(fh), start=1):
-                if row and any(f.strip() for f in row):
-                    rows.append((lineno, row))
-    except OSError as exc:
-        raise exc
+    with open(path, newline="") as fh:
+        for lineno, row in enumerate(csv.reader(fh), start=1):
+            if row and any(f.strip() for f in row):
+                rows.append((lineno, row))
     if not rows:
         raise ParseError(f"{path}: file contains no data")
     return rows

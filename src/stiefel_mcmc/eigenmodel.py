@@ -157,7 +157,7 @@ def sample_z_full_conditional(y: SymmetricBinaryNetwork, mean: np.ndarray,
     if mean.shape[0] != y.n:
         raise DimensionError(
             f"mean is {mean.shape}, expected ({y.n}, {y.n})")
-    return kernels.zfill_probit(np.ascontiguousarray(mean), y.codes, rng)
+    return kernels.zfill_probit(mean, y.codes, rng)
 
 
 def theta_conditional_moments(state: EigenmodelState,

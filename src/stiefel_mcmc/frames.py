@@ -1,23 +1,11 @@
-"""Orthonormal frames and Bingham-von Mises-Fisher (BMF) parameterizations.
+"""Orthonormal frames on the Stiefel manifold.
 
 A frame is an m x R matrix U with U'U = I_R, i.e. a point on the Stiefel
-manifold V_{R,m}. The BMF exponential family on that manifold has
-unnormalized density
-
-    p(U | A, B, C)  prop-to  etr(C'U + B U'A U)
-
-with A symmetric (m x m), B diagonal (R x R, stored here as a vector) and
-C an arbitrary m x R matrix. For R = 1 this reduces to the vector family
-exp(c'u + u'Au) on the unit sphere; B is absorbed into A. The linear part
-alone (A = 0) is the von Mises-Fisher family, the quadratic part alone
-(C = 0) is the Bingham family.
-
-Only unnormalized log-densities are provided; the normalizing constants
-(hypergeometric functions of matrix argument) are out of scope.
+manifold V_{R,m}.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -101,96 +89,3 @@ def random_uniform_frame(m: int, r: int, rng: np.random.Generator) -> Orthonorma
     if m < 1 or r < 1 or r > m:
         raise DimensionError(f"need 1 <= r <= m, got m={m}, r={r}")
     return OrthonormalFrame(orthonormalize(rng.standard_normal((m, r))))
-
-
-@dataclass(frozen=True)
-class BmfParams:
-    """Parameters (A, b, C) of the matrix BMF density etr(C'U + diag(b) U'A U).
-
-    b is stored in non-increasing order; if the input is not ordered, the
-    sorting permutation is applied to b and to the columns of C together
-    (the same distribution up to relabeling of columns) and recorded in
-    ``column_order``: canonical column j corresponds to input column
-    column_order[j].
-    """
-
-    A: np.ndarray
-    b: np.ndarray
-    C: np.ndarray
-    column_order: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        a = require_symmetric(self.A)
-        b = np.atleast_1d(np.asarray(self.b, dtype=np.float64))
-        c = np.asarray(self.C, dtype=np.float64)
-        if b.ndim != 1:
-            raise DimensionError("b must be a vector")
-        if c.ndim != 2:
-            raise DimensionError("C must be a matrix")
-        m, r = c.shape
-        if a.shape[0] != m or b.shape[0] != r:
-            raise DimensionError(
-                f"inconsistent shapes: A {a.shape}, b ({b.shape[0]},), C {c.shape}")
-        # stable sort keeps ties deterministic
-        order = np.argsort(-b, kind="stable")
-        object.__setattr__(self, "A", a)
-        object.__setattr__(self, "b", b[order])
-        object.__setattr__(self, "C", c[:, order])
-        object.__setattr__(self, "column_order", order)
-
-    @property
-    def rows(self) -> int:
-        return self.C.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.C.shape[1]
-
-
-def canonicalize_bmf(A, b, C) -> BmfParams:
-    """Reorder (b, C) so that b is non-increasing; see BmfParams."""
-    return BmfParams(A, b, C)
-
-
-@dataclass(frozen=True)
-class VectorBmfParams:
-    """Parameters (c, A) of the vector BMF density exp(c'u + u'Au) on the sphere."""
-
-    c: np.ndarray
-    A: np.ndarray
-
-    def __post_init__(self):
-        c = np.atleast_1d(np.asarray(self.c, dtype=np.float64))
-        a = require_symmetric(self.A)
-        if c.ndim != 1:
-            raise DimensionError("c must be a vector")
-        if a.shape[0] != c.shape[0]:
-            raise DimensionError(
-                f"inconsistent shapes: c ({c.shape[0]},), A {a.shape}")
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "A", a)
-
-
-def log_density_bmf(params: BmfParams, frame: OrthonormalFrame) -> float:
-    """Unnormalized log-density tr(C'U) + tr(diag(b) U'A U).
-
-    Adding a*I to A shifts this by a * sum(b) for every frame (since
-    U'U = I), so log-density differences are invariant under A -> A + aI.
-    """
-    u = frame.entries
-    if u.shape != params.C.shape:
-        raise DimensionError(
-            f"frame shape {u.shape} does not match params shape {params.C.shape}")
-    quad = np.einsum("ij,ik,kj->j", u, params.A, u)
-    return float(np.sum(params.C * u) + params.b @ quad)
-
-
-def log_density_vector_bmf(params: VectorBmfParams, u: np.ndarray) -> float:
-    """Unnormalized log-density c'u + u'Au for a unit vector u."""
-    u = np.atleast_1d(np.asarray(u, dtype=np.float64))
-    if u.shape != params.c.shape:
-        raise DimensionError(
-            f"u has shape {u.shape}, expected {params.c.shape}")
-    if abs(u @ u - 1.0) > FRAME_TOL:
-        raise ConstraintError(f"u is not a unit vector: |u|^2 = {u @ u:.15f}")
-    return float(params.c @ u + u @ params.A @ u)

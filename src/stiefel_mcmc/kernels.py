@@ -1,17 +1,27 @@
-"""Pure NumPy implementations of the hot sampling kernels.
+"""The hot sampling kernels, in NumPy.
 
-Same contracts as the compiled backend in ``_speedups.pyx``; selected at
-import time by ``stiefel_mcmc.kernels`` when the extension is missing or
-explicitly disabled. The two backends draw from the generator in
-different orders (this one vectorizes where it can), so seeded streams
-are reproducible per backend, not across backends.
+Wood's (1994) von Mises-Fisher sampler, the angular-central-Gaussian
+Bingham sampler of Kent, Ganeiber & Mardia (2018), the probit Z fill and
+the one-sided truncated normal. Each draws from the generator in a fixed
+order, so a seed reproduces the same draws given the same NumPy and
+SciPy. ``BACKEND`` names this implementation and is recorded in CLI run
+manifests.
 """
 from __future__ import annotations
 
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-BACKEND_NAME = "pure"
+BACKEND = "pure"
+
+__all__ = [
+    "BACKEND",
+    "mf_vector",
+    "bingham_spectral",
+    "sample_sphere",
+    "truncnorm_left",
+    "zfill_probit",
+]
 
 # Beyond this many standard deviations the one-sided truncated normal
 # switches from inverse-CDF to an exponential-envelope rejection sampler.

@@ -15,7 +15,6 @@ STREAM_LABELS = {
     "svd-sim": 1,
     "svd-fit": 2,
     "eigen-fit": 3,
-    "generic": 0,
 }
 
 
@@ -25,10 +24,3 @@ def derive_rng(seed: int, label: str, chain: int = 0) -> np.random.Generator:
         raise KeyError(f"unknown stream label {label!r}")
     ss = np.random.SeedSequence(seed, spawn_key=(STREAM_LABELS[label], chain))
     return np.random.Generator(np.random.PCG64(ss))
-
-
-def as_generator(rng) -> np.random.Generator:
-    """Accept a Generator, a seed, or None (fresh entropy)."""
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return np.random.default_rng(rng)

@@ -24,8 +24,6 @@ chain actually needs to move.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
 import numpy as np
 
 from . import kernels
@@ -42,20 +40,9 @@ from .frames import (
 DEFAULT_BURN_SWEEPS = 25
 
 
-@dataclass(frozen=True)
-class GibbsKernelState:
-    """Current frame of a matrix Gibbs kernel plus the number of sweeps taken."""
-
-    current: OrthonormalFrame
-    sweep_count: int = 0
-
-    def advanced(self, new_frame: OrthonormalFrame) -> "GibbsKernelState":
-        return replace(self, current=new_frame, sweep_count=self.sweep_count + 1)
-
-
 def sample_mf_vector(c: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Exact draw from density prop-to exp(c'u) on the unit sphere of R^m."""
-    c = np.ascontiguousarray(np.atleast_1d(c), dtype=np.float64)
+    c = np.atleast_1d(np.asarray(c, dtype=np.float64))
     if c.ndim != 1 or c.shape[0] < 1:
         raise DimensionError("c must be a non-empty vector")
     if not np.all(np.isfinite(c)):
@@ -112,10 +99,10 @@ def sample_mf_matrix_gibbs(C: np.ndarray,
     m, r = u.shape
     for j in range(r):
         if r == 1:
-            u[:, 0] = kernels.mf_vector(np.ascontiguousarray(c[:, 0]), rng)
+            u[:, 0] = kernels.mf_vector(c[:, 0], rng)
             continue
         nb = _null_basis(u, j)
-        cj = np.ascontiguousarray(nb.T @ c[:, j])
+        cj = nb.T @ c[:, j]
         if not cj.any():
             z = kernels.sample_sphere(nb.shape[1], rng)
         else:

@@ -2,10 +2,10 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` for the live lines (or
 without -s: pytest still reports each criterion as a test). The full
-suite takes a few minutes with the compiled kernels.
+suite takes several minutes.
 
-Criterion 7 is asserted exactly as stated; see the decisions ledger for
-the signal-strength analysis of its fixture.
+Criterion 7 is asserted exactly as stated; see the decisions ledger,
+``docs/decisions.md``, for the signal-strength analysis of its fixture.
 """
 import numpy as np
 import pytest

@@ -3,14 +3,9 @@ import pytest
 from scipy import stats
 
 from stiefel_mcmc import (
-    BmfParams,
     ConstraintError,
     DimensionError,
     OrthonormalFrame,
-    VectorBmfParams,
-    canonicalize_bmf,
-    log_density_bmf,
-    log_density_vector_bmf,
     random_uniform_frame,
 )
 from stiefel_mcmc.frames import frame_defect
@@ -58,111 +53,3 @@ class TestOrthonormalFrame:
                       for _ in range(10_000)])
         assert stats.ks_2samp(a, b).pvalue > 0.01
 
-
-class TestLogDensities:
-    def test_zero_params_zero_density(self):
-        rng = np.random.default_rng(5)
-        f = random_uniform_frame(4, 2, rng)
-        params = BmfParams(np.zeros((4, 4)), np.zeros(2), np.zeros((4, 2)))
-        assert log_density_bmf(params, f) == 0.0
-
-    def test_linear_term_only(self):
-        c = np.zeros((2, 1))
-        c[0, 0] = 1.0
-        params = BmfParams(np.zeros((2, 2)), np.zeros(1), c)
-        e1 = OrthonormalFrame(np.array([[1.0], [0.0]]))
-        assert log_density_bmf(params, e1) == pytest.approx(1.0)
-
-    def test_dimension_mismatch(self):
-        params = BmfParams(np.zeros((3, 3)), np.zeros(2), np.zeros((3, 2)))
-        frame = random_uniform_frame(4, 2, np.random.default_rng(0))
-        with pytest.raises(DimensionError):
-            log_density_bmf(params, frame)
-
-    def test_a_shift_moves_density_by_a_trace_b(self):
-        # tr(diag(b) U'(A+aI)U) - tr(diag(b) U'AU) = a * sum(b) since U'U = I
-        rng = np.random.default_rng(6)
-        a_mat = rng.standard_normal((5, 5))
-        a_mat = a_mat + a_mat.T
-        b = rng.standard_normal(3)
-        c = rng.standard_normal((5, 3))
-        base = BmfParams(a_mat, b, c)
-        for _ in range(100):
-            shift = rng.uniform(-5, 5)
-            shifted = BmfParams(a_mat + shift * np.eye(5), b, c)
-            frame = random_uniform_frame(5, 3, rng)
-            diff = log_density_bmf(shifted, frame) - log_density_bmf(base, frame)
-            assert abs(diff - shift * b.sum()) <= 1e-10
-
-    def test_b_shift_exponent_identity(self):
-        # adding b0*1 to b changes the exponent by exactly b0 * tr(U'AU)
-        rng = np.random.default_rng(7)
-        a_mat = rng.standard_normal((5, 5))
-        a_mat = a_mat + a_mat.T
-        c = rng.standard_normal((5, 3))
-        for _ in range(100):
-            b = np.sort(rng.standard_normal(3))[::-1]
-            b0 = rng.uniform(-3, 3)
-            frame = random_uniform_frame(5, 3, rng)
-            u = frame.entries
-            diff = (log_density_bmf(BmfParams(a_mat, b + b0, c), frame)
-                    - log_density_bmf(BmfParams(a_mat, b, c), frame))
-            expected = b0 * np.trace(u.T @ a_mat @ u)
-            assert abs(diff - expected) <= 1e-10
-
-    def test_vector_zero_params(self):
-        params = VectorBmfParams(np.zeros(3), np.zeros((3, 3)))
-        assert log_density_vector_bmf(params, np.array([0.0, 1.0, 0.0])) == 0.0
-
-    def test_vector_antipodal_symmetry(self):
-        rng = np.random.default_rng(8)
-        a_mat = rng.standard_normal((4, 4))
-        params = VectorBmfParams(np.zeros(4), a_mat + a_mat.T)
-        u = rng.standard_normal(4)
-        u /= np.linalg.norm(u)
-        assert log_density_vector_bmf(params, u) == pytest.approx(
-            log_density_vector_bmf(params, -u), abs=1e-12)
-
-    def test_vector_linear_term(self):
-        params = VectorBmfParams(np.array([2.0, 0.0, 0.0]), np.zeros((3, 3)))
-        assert log_density_vector_bmf(params, np.array([1.0, 0.0, 0.0])) == 2.0
-
-    def test_vector_requires_unit_norm(self):
-        params = VectorBmfParams(np.zeros(2), np.zeros((2, 2)))
-        with pytest.raises(ConstraintError):
-            log_density_vector_bmf(params, np.array([1.0, 1.0]))
-
-    def test_asymmetric_a_rejected(self):
-        with pytest.raises(ConstraintError):
-            VectorBmfParams(np.zeros(2), np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
-class TestCanonicalization:
-    def test_unsorted_b_swaps_columns(self):
-        c = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
-        params = canonicalize_bmf(np.zeros((3, 3)), np.array([1.0, 3.0]), c)
-        np.testing.assert_array_equal(params.b, [3.0, 1.0])
-        np.testing.assert_array_equal(params.C, c[:, [1, 0]])
-        np.testing.assert_array_equal(params.column_order, [1, 0])
-
-    def test_sorted_b_is_identity(self):
-        c = np.arange(6.0).reshape(3, 2)
-        params = canonicalize_bmf(np.zeros((3, 3)), np.array([3.0, 1.0]), c)
-        np.testing.assert_array_equal(params.b, [3.0, 1.0])
-        np.testing.assert_array_equal(params.C, c)
-
-    def test_density_preserved_under_permutation(self):
-        rng = np.random.default_rng(9)
-        m, r = 6, 3
-        a_mat = rng.standard_normal((m, m))
-        a_mat = 0.5 * (a_mat + a_mat.T)
-        b = rng.standard_normal(r)
-        c = rng.standard_normal((m, r))
-        original = BmfParams(a_mat, b, c)  # construction already canonicalizes
-        raw_density = lambda u: float(np.sum(c * u) + b @ np.einsum(
-            "ij,ik,kj->j", u, a_mat, u))
-        for _ in range(100):
-            frame = random_uniform_frame(m, r, rng)
-            permuted = OrthonormalFrame(frame.entries[:, original.column_order])
-            assert log_density_bmf(original, permuted) == pytest.approx(
-                raw_density(frame.entries), abs=1e-12)

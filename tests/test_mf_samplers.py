@@ -121,13 +121,3 @@ class TestMatrixKernel:
                                        compute_uv=False))
         assert np.all(overlap > 0.98)
 
-    def test_kernel_state_tracks_sweeps(self):
-        from stiefel_mcmc import GibbsKernelState
-
-        rng = np.random.default_rng(10)
-        state = GibbsKernelState(current=random_uniform_frame(4, 2, rng))
-        c = rng.standard_normal((4, 2))
-        for expected in (1, 2, 3):
-            state = state.advanced(sample_mf_matrix_gibbs(c, state.current, rng))
-            assert state.sweep_count == expected
-        assert frame_defect(state.current.entries) <= 1e-10
