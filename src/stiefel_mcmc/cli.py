@@ -20,6 +20,7 @@ import argparse
 import logging
 import os
 import sys
+import time
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -74,6 +75,11 @@ def cmd_svd_sim(cfg) -> int:
     return EXIT_OK
 
 
+def _log_chain_rate(chain: int, iters: int, seconds: float) -> None:
+    log.info("chain %d: %d Gibbs iterations in %.3f s (%.1f iterations/s)",
+             chain, iters, seconds, iters / seconds)
+
+
 def _svd_fit_single(cfg, chain: int, out: Path) -> None:
     rng = derive_rng(cfg.seed, "svd-fit", chain)
     y = csvio.read_matrix(cfg.input)
@@ -82,7 +88,9 @@ def _svd_fit_single(cfg, chain: int, out: Path) -> None:
                                "by the low-rank mean model")
     hyper = svd_model.SvdHyperParams(nu0=cfg.nu0, s20=cfg.s20,
                                      eta0=cfg.eta0, t20=cfg.t20)
+    start = time.perf_counter()
     result = svd_model.run_svd_gibbs(y, cfg.rank, hyper, cfg.iters, cfg.thin, rng)
+    _log_chain_rate(chain, cfg.iters, time.perf_counter() - start)
     rank_r = svd_model.rank_r_approximation(result.m_posterior_mean, cfg.rank)
 
     iters = np.arange(1, result.saved_count + 1) * cfg.thin
@@ -121,8 +129,10 @@ def _eigen_fit_single(cfg, chain: int, out: Path) -> None:
     t2_lambda = cfg.t2_lambda if cfg.t2_lambda is not None else float(net.n)
     hyper = eigenmodel.EigenHyperParams(t2_lambda=t2_lambda,
                                         t2_theta=cfg.t2_theta, rank=cfg.rank)
+    start = time.perf_counter()
     result = eigenmodel.run_eigenmodel_gibbs(net, hyper, cfg.iters, cfg.burn,
                                              cfg.thin, rng)
+    _log_chain_rate(chain, cfg.iters, time.perf_counter() - start)
     positions, eigvals = eigenmodel.latent_positions(result.m_bar, cfg.rank)
     scaled = positions * np.sqrt(np.abs(eigvals))
 

@@ -166,7 +166,7 @@ def theta_conditional_moments(state: EigenmodelState,
     the upper-triangle residuals Z - U Lambda U'."""
     n = state.U.rows
     resid = state.Z - state.factor_matrix()
-    iu = np.triu_indices(n, 1)
+    iu = kernels.triu_indices(n)
     var = 1.0 / (1.0 / hyper.t2_theta + n * (n - 1) / 2.0)
     mean = var * float(resid[iu].sum())
     return mean, var

@@ -24,6 +24,8 @@ chain actually needs to move.
 """
 from __future__ import annotations
 
+import logging
+
 import numpy as np
 
 from . import kernels
@@ -38,6 +40,8 @@ from .frames import (
 
 # Sweeps used by sample_mf_matrix to wash out the starting frame.
 DEFAULT_BURN_SWEEPS = 25
+
+log = logging.getLogger("stiefel_mcmc")
 
 
 def sample_mf_vector(c: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -80,9 +84,13 @@ def _check_kernel_args(param: np.ndarray, current: OrthonormalFrame, name: str):
 
 
 def _ensure_frame(entries: np.ndarray) -> OrthonormalFrame:
-    # repair drift instead of failing; sweeps only compose orthonormal
-    # pieces so this fires rarely even in very long runs
-    if frame_defect(entries) > FRAME_TOL:
+    # repair drift instead of failing, and say so; sweeps only compose
+    # orthonormal pieces so this fires rarely even in very long runs
+    defect = frame_defect(entries)
+    if defect > FRAME_TOL:
+        log.warning("frame drifted to max |U'U - I| = %.3e > %g; "
+                    "re-orthonormalized the %dx%d frame",
+                    defect, FRAME_TOL, *entries.shape)
         entries = orthonormalize(entries)
     return OrthonormalFrame(entries)
 

@@ -55,6 +55,22 @@ def bingham2_angle_density(a11: float, grid: np.ndarray) -> np.ndarray:
     return vals
 
 
+def acg_envelope_parameter_bisection(lam_hat: np.ndarray) -> float:
+    """Root b in (0, q] of sum_i 1/(b + 2 lam_hat_i) = 1 by bisection down
+    to adjacent floats: the reference for the kernel's Newton solver."""
+    q = lam_hat.shape[0]
+    lo, hi = 0.0, float(q)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        if np.sum(1.0 / (mid + 2.0 * lam_hat)) > 1.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 # Frozen quadrature values (recomputed by test_oracle_self_check):
 VMF_M3_MEAN = {0.5: 0.1639534137, 2.0: 0.5373147207, 8.0: 0.8750002251}
 BINGHAM2_DIAG3 = 0.7980666194  # E[u1^2] for A=diag(3,0)

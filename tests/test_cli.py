@@ -1,4 +1,5 @@
 import json
+import logging
 import subprocess
 import sys
 
@@ -208,6 +209,16 @@ class TestEigenFit:
         for name in ("lambda_theta_trace.csv", "M_bar.csv", "positions.csv"):
             assert ((tmp_path / "e1" / name).read_bytes()
                     == (tmp_path / "e2" / name).read_bytes())
+
+    def test_logs_chain_rate_at_info(self, tmp_path, net_file, caplog):
+        with caplog.at_level(logging.INFO, logger="stiefel_mcmc"):
+            assert run_cli("eigen-fit", "--input", net_file, "--iters", 20,
+                           "--burn", 5, "--thin", 5, "--seed", 4,
+                           "--out-dir", tmp_path / "out") == 0
+        [line] = [r.getMessage() for r in caplog.records
+                  if r.levelno == logging.INFO and "Gibbs iterations" in r.getMessage()]
+        assert line.startswith("chain 0: 20 Gibbs iterations in ")
+        assert line.endswith(" iterations/s)")
 
 
 class TestChains:

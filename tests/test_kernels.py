@@ -4,6 +4,8 @@ from scipy.stats import norm
 
 from stiefel_mcmc import kernels
 
+from oracles import acg_envelope_parameter_bisection
+
 # Test ids carry the implementation's name, e.g. ``[pure]``.
 KERNELS = pytest.mark.parametrize("mod", [kernels], ids=[kernels.BACKEND])
 
@@ -79,3 +81,36 @@ class TestVectorKernels:
 
 def test_backend_reports_name():
     assert kernels.BACKEND == "pure"
+
+
+def _envelope_spectra():
+    """lam_hat = max(lam) - lam for random spectra, q from 2 to 500 and
+    scales from 1e-3 to 1e6, plus one nonzero entry and repeated maxima."""
+    rng = np.random.default_rng(11)
+    for _ in range(300):
+        q = int(rng.integers(2, 501))
+        lam = rng.uniform(0.0, 1.0, q) * 10.0 ** rng.uniform(-3.0, 6.0)
+        yield lam.max() - lam
+    for q in (2, 3, 49, 500):
+        for scale in (1e-3, 1.0, 1e6):
+            single = np.zeros(q)
+            single[q // 2] = scale
+            yield single
+            tied = rng.uniform(0.0, scale, q)
+            tied[: q // 2 + 1] = scale
+            yield scale - tied
+
+
+def test_acg_envelope_parameter_solves_and_matches_bisection():
+    for lam_hat in _envelope_spectra():
+        q = lam_hat.shape[0]
+        b = kernels._acg_envelope_parameter(lam_hat)
+        assert 1.0 <= b <= q
+        assert abs(np.sum(1.0 / (b + 2.0 * lam_hat)) - 1.0) <= 1e-12
+        ref = acg_envelope_parameter_bisection(lam_hat)
+        assert abs(b - ref) <= 1e-12 * ref
+
+
+def test_acg_envelope_parameter_raises_instead_of_returning_unconverged():
+    with pytest.raises(RuntimeError, match="did not converge"):
+        kernels._acg_envelope_parameter(np.array([0.0, np.nan, 1.0]))

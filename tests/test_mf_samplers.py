@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -8,6 +10,7 @@ from stiefel_mcmc import (
     sample_mf_matrix,
     sample_mf_matrix_gibbs,
     sample_mf_vector,
+    samplers,
 )
 from stiefel_mcmc.frames import frame_defect
 
@@ -121,3 +124,22 @@ class TestMatrixKernel:
                                        compute_uv=False))
         assert np.all(overlap > 0.98)
 
+
+def test_frame_repair_is_logged(caplog):
+    u = random_uniform_frame(7, 3, np.random.default_rng(12)).entries
+    drifted = u + 1e-9 * np.random.default_rng(13).standard_normal(u.shape)
+    with caplog.at_level(logging.WARNING, logger="stiefel_mcmc"):
+        repaired = samplers._ensure_frame(drifted)
+    assert frame_defect(repaired.entries) <= 1e-14
+    [record] = caplog.records
+    assert record.levelno == logging.WARNING
+    assert record.name == "stiefel_mcmc"
+    assert f"{frame_defect(drifted):.3e}" in record.getMessage()
+    assert "7x3" in record.getMessage()
+
+
+def test_intact_frame_is_not_logged(caplog):
+    u = random_uniform_frame(7, 3, np.random.default_rng(12)).entries
+    with caplog.at_level(logging.WARNING, logger="stiefel_mcmc"):
+        samplers._ensure_frame(u)
+    assert not caplog.records
