@@ -137,13 +137,20 @@ def parse_covariates(path, n: int | None = None) -> NodeCovariates:
     return NodeCovariates(table=table, names=names)
 
 
+def _format_row(row: np.ndarray) -> str:
+    """``",".join(format_value(v) for v in row)`` in one pass: ``tolist``
+    hands out Python ints and floats, whose ``repr`` is what
+    ``format_value`` prints, and NaN is the one value unequal to itself."""
+    return ",".join("NA" if v != v else repr(v) for v in row.tolist())
+
+
 def write_matrix(path, mat, header: list[str] | None = None) -> None:
     mat = np.atleast_2d(np.asarray(mat))
     with open(path, "w", newline="") as fh:
         if header:
             fh.write(",".join(header) + "\n")
         for row in mat:
-            fh.write(",".join(format_value(v) for v in row) + "\n")
+            fh.write(_format_row(row) + "\n")
 
 
 def write_trace(path, colnames: list[str], iterations, columns) -> None:
@@ -152,7 +159,7 @@ def write_trace(path, colnames: list[str], iterations, columns) -> None:
     with open(path, "w", newline="") as fh:
         fh.write(",".join(["iter"] + list(colnames)) + "\n")
         for it, row in zip(iterations, columns):
-            fh.write(",".join([str(int(it))] + [format_value(v) for v in row]) + "\n")
+            fh.write(f"{int(it)},{_format_row(row)}\n")
 
 
 def write_manifest(path, payload: dict) -> None:

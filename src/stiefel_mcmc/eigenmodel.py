@@ -162,13 +162,16 @@ def sample_z_full_conditional(y: SymmetricBinaryNetwork, mean: np.ndarray,
 
 def theta_conditional_moments(state: EigenmodelState,
                               hyper: EigenHyperParams) -> tuple[float, float]:
-    """(mean, variance) of theta | Z, U, lambda: conjugate normal based on
-    the upper-triangle residuals Z - U Lambda U'."""
+    """(mean, variance) of theta | Z, U, lambda: conjugate normal in the
+    residuals R = Z - U Lambda U'. The n(n-1)/2 upper-triangle entries have
+    variance 1 and the n diagonal entries variance 2, the same joint law
+    the lambda, U and Z updates use, so the precision is
+    1/t2_theta + n^2/2 and the mean is var (sum_{i<j} r_ij + sum_i r_ii/2)."""
     n = state.U.rows
     resid = state.Z - state.factor_matrix()
     iu = kernels.triu_indices(n)
-    var = 1.0 / (1.0 / hyper.t2_theta + n * (n - 1) / 2.0)
-    mean = var * float(resid[iu].sum())
+    var = 1.0 / (1.0 / hyper.t2_theta + n * n / 2.0)
+    mean = var * (float(resid[iu].sum()) + 0.5 * float(np.trace(resid)))
     return mean, var
 
 

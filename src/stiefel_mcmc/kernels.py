@@ -36,13 +36,28 @@ TAIL_SPLIT = 5.0
 ACG_NEWTON_MAX_STEPS = 64
 
 
-def sample_sphere(m: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform draw on the unit sphere in R^m."""
+def sample_sphere(m: int, rng: np.random.Generator,
+                  others: np.ndarray | None = None) -> np.ndarray:
+    """Uniform draw on the unit sphere in R^m, or, given an m x k matrix
+    `others` with orthonormal columns, on the unit sphere of their
+    orthogonal complement. One ``standard_normal(m)`` per attempt."""
     while True:
         x = rng.standard_normal(m)
+        if others is not None:
+            x = _project_off(x, others)
         norm = np.linalg.norm(x)
         if norm > 1e-12:
             return x / norm
+
+
+def _project_off(x: np.ndarray, others: np.ndarray) -> np.ndarray:
+    """x minus its projection on the orthonormal columns of `others`,
+    taken twice: one Gram-Schmidt pass leaves a component of the order of
+    rounding times |x|, which matters when most of x lies in their span;
+    the second pass makes the result orthogonal to working precision
+    ("twice is enough": Kahan, in Parlett 1980)."""
+    x = x - others @ (others.T @ x)
+    return x - others @ (others.T @ x)
 
 
 def truncnorm_left(a: float, rng: np.random.Generator) -> float:
@@ -124,37 +139,61 @@ def zfill_probit(mean: np.ndarray, codes: np.ndarray,
     return z
 
 
-def mf_vector(c: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Exact draw from the von Mises-Fisher density prop-to exp(c'u) on S^{m-1}.
+def mf_vector(c: np.ndarray, rng: np.random.Generator,
+              others: np.ndarray | None = None) -> np.ndarray:
+    """Exact draw from the von Mises-Fisher density prop-to exp(c'u).
+
+    Without `others`, u ranges over the unit sphere S^{m-1} of R^m, m =
+    len(c). Given an m x k matrix `others` with orthonormal columns, u
+    ranges over the unit sphere of their orthogonal complement, a sphere
+    of dimension q - 1 with q = m - k. There c'u = c_perp'u, where c_perp
+    is c projected off `others`, so only kappa = |c_perp| and q enter the
+    law, and no basis of the complement is formed: O(mk) work per draw.
 
     Tangent-normal decomposition with Wood's (1994) rejection sampler for
-    the cosine t of the angle to the mode: t has density prop-to
-    (1-t^2)^((m-3)/2) exp(kappa t) on [-1, 1].
+    the cosine t of the angle to the mode mu = c_perp/kappa: t has density
+    prop-to (1-t^2)^((q-3)/2) exp(kappa t) on [-1, 1]. The tangent
+    direction is a ``standard_normal(m)`` projected off `others` and off
+    mu. For q = 1 the sphere is the two points {n, -n}, n a unit normal of
+    the complement, and u = n with probability 1/(1 + exp(-2 c'n)); for
+    kappa = 0 the draw is uniform.
     """
     c = np.asarray(c, dtype=np.float64)
     m = c.shape[0]
+    if others is None:
+        q = m
+    else:
+        q = m - others.shape[1]
+        c = _project_off(c, others)
     kappa = float(np.linalg.norm(c))
-    if m == 1:
-        # two-point sphere {+1, -1}
-        p_plus = 1.0 / (1.0 + np.exp(-2.0 * c[0]))
-        return np.array([1.0 if rng.random() < p_plus else -1.0])
+    if q == 1:
+        if others is None:
+            n = np.ones(1)
+        elif kappa > 0.0:
+            n = c / kappa
+        else:
+            return sample_sphere(m, rng, others)
+        p_plus = 1.0 / (1.0 + np.exp(-2.0 * (c @ n)))
+        return n if rng.random() < p_plus else -n
     if kappa == 0.0:
-        return sample_sphere(m, rng)
+        return sample_sphere(m, rng, others)
     mu = c / kappa
 
-    b = (-2.0 * kappa + np.sqrt(4.0 * kappa * kappa + (m - 1.0) ** 2)) / (m - 1.0)
+    b = (-2.0 * kappa + np.sqrt(4.0 * kappa * kappa + (q - 1.0) ** 2)) / (q - 1.0)
     x0 = (1.0 - b) / (1.0 + b)
-    logc = kappa * x0 + (m - 1.0) * np.log1p(-x0 * x0)
-    half = 0.5 * (m - 1.0)
+    logc = kappa * x0 + (q - 1.0) * np.log1p(-x0 * x0)
+    half = 0.5 * (q - 1.0)
     while True:
         zb = rng.beta(half, half)
         t = (1.0 - (1.0 + b) * zb) / (1.0 - (1.0 - b) * zb)
-        if kappa * t + (m - 1.0) * np.log1p(-x0 * t) - logc >= np.log(rng.random()):
+        if kappa * t + (q - 1.0) * np.log1p(-x0 * t) - logc >= np.log(rng.random()):
             break
 
     # uniform direction in the tangent space at mu
     while True:
         v = rng.standard_normal(m)
+        if others is not None:
+            v = _project_off(v, others)
         v -= mu * (mu @ v)
         norm = np.linalg.norm(v)
         if norm > 1e-12:

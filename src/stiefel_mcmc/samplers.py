@@ -67,10 +67,8 @@ def sample_bingham_vector(A: np.ndarray, rng: np.random.Generator) -> np.ndarray
 
 def _null_basis(u: np.ndarray, j: int) -> np.ndarray:
     """Orthonormal basis N of the orthogonal complement of the columns of u
-    other than column j. Shape (m, m-r+1)."""
-    m, r = u.shape
-    if r == 1:
-        return np.eye(m)
+    other than column j, for r >= 2 columns. Shape (m, m-r+1)."""
+    r = u.shape[1]
     others = np.delete(u, j, axis=1)
     q, _ = np.linalg.qr(others, mode="complete")
     return q[:, r - 1:]
@@ -98,24 +96,23 @@ def _ensure_frame(entries: np.ndarray) -> OrthonormalFrame:
 def sample_mf_matrix_gibbs(C: np.ndarray,
                            current: OrthonormalFrame,
                            rng: np.random.Generator) -> OrthonormalFrame:
-    """One Gibbs sweep over columns targeting density prop-to etr(C'U)."""
+    """One Gibbs sweep over columns targeting density prop-to etr(C'U).
+
+    Column j is redrawn from its full conditional, the vector MF law
+    exp(c_j'u) on the unit sphere orthogonal to the other columns, by
+    ``kernels.mf_vector(c_j, rng, others)``: no basis of that complement
+    is formed, so a sweep costs O(m r^2). For R = 1 each sweep is one
+    exact vector draw, the same draws as ``sample_mf_vector``.
+    """
     c = np.asarray(C, dtype=np.float64)
     _check_kernel_args(c, current, "C")
     if not np.all(np.isfinite(c)):
         raise InputError("C has non-finite entries")
     u = current.entries.copy()
-    m, r = u.shape
+    r = u.shape[1]
     for j in range(r):
-        if r == 1:
-            u[:, 0] = kernels.mf_vector(c[:, 0], rng)
-            continue
-        nb = _null_basis(u, j)
-        cj = nb.T @ c[:, j]
-        if not cj.any():
-            z = kernels.sample_sphere(nb.shape[1], rng)
-        else:
-            z = kernels.mf_vector(cj, rng)
-        u[:, j] = nb @ z
+        others = np.delete(u, j, axis=1) if r > 1 else None
+        u[:, j] = kernels.mf_vector(c[:, j], rng, others)
     return _ensure_frame(u)
 
 

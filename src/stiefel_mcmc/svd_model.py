@@ -153,7 +153,7 @@ def update_v(state: SvdModelState, y, rng: np.random.Generator) -> SvdModelState
 def d_conditional_moments(state: SvdModelState, y) -> tuple[np.ndarray, float]:
     """Mean vector and (common) variance of the d_j full conditionals."""
     ymat = _as_matrix(y)
-    quad = np.einsum("ij,ik,kj->j", state.U.entries, ymat, state.V.entries)
+    quad = (state.U.entries * (ymat @ state.V.entries)).sum(0)  # u_j'Y v_j
     var = state.tau2 * state.sigma2 / (state.tau2 + state.sigma2)
     mean = state.tau2 * quad / (state.sigma2 + state.tau2)
     return mean, float(var)

@@ -71,6 +71,25 @@ def acg_envelope_parameter_bisection(lam_hat: np.ndarray) -> float:
     return 0.5 * (lo + hi)
 
 
+def mf_matrix_gibbs_qr(C: np.ndarray, U: np.ndarray,
+                       rng: np.random.Generator) -> np.ndarray:
+    """One column sweep targeting etr(C'U), r >= 2, by the complete-QR
+    construction: N spans the complement of the other columns, z is an
+    exact vector MF draw with parameter N'c_j on the sphere of R^{m-r+1},
+    and u_j = N z. The reference for the basis-free sweep; it shares only
+    the vector kernel (no other columns), which is checked against
+    quadrature on its own."""
+    from stiefel_mcmc import sample_mf_vector
+
+    u = np.array(U, dtype=np.float64)
+    r = u.shape[1]
+    for j in range(r):
+        q, _ = np.linalg.qr(np.delete(u, j, axis=1), mode="complete")
+        nb = q[:, r - 1:]
+        u[:, j] = nb @ sample_mf_vector(nb.T @ C[:, j], rng)
+    return u
+
+
 # Frozen quadrature values (recomputed by test_oracle_self_check):
 VMF_M3_MEAN = {0.5: 0.1639534137, 2.0: 0.5373147207, 8.0: 0.8750002251}
 BINGHAM2_DIAG3 = 0.7980666194  # E[u1^2] for A=diag(3,0)

@@ -80,6 +80,22 @@ class TestParsers:
         back = csvio.read_matrix(p)
         np.testing.assert_array_equal(back, vals)
 
+    def test_writers_match_format_value_byte_for_byte(self, tmp_path):
+        vals = np.array([[np.nan, -0.0, 0.0, 5e-324, 2.2250738585072014e-308],
+                         [1.7976931348623157e308, -1e300, np.pi, -1.0 / 3.0, 1e16],
+                         [np.inf, -np.inf, 1e-17, 123456789.0, -2.0]])
+        rows = ["a,b,c,d,e"] + [",".join(csvio.format_value(v) for v in row)
+                                for row in vals]
+        p = tmp_path / "m.csv"
+        csvio.write_matrix(p, vals, header=rows[0].split(","))
+        assert p.read_bytes() == ("\n".join(rows) + "\n").encode()
+        csvio.write_matrix(p, np.arange(-3, 3).reshape(2, 3))
+        assert p.read_bytes() == b"-3,-2,-1\n0,1,2\n"
+        csvio.write_trace(p, list("abcde"), [5, 10, 15], vals)
+        trace = [f"iter,{rows[0]}"] + [f"{it},{row}" for it, row in
+                                       zip((5, 10, 15), rows[1:])]
+        assert p.read_bytes() == ("\n".join(trace) + "\n").encode()
+
     def test_diagonal_ignored_regardless_of_content(self, tmp_path):
         p = tmp_path / "a.csv"
         p.write_text("7,1,0\n1,x,1\n0,1,NA\n")

@@ -111,7 +111,7 @@ class TestThetaUpdate:
         state = em.EigenmodelState(Z=z, U=u, lam=np.zeros(2), theta=0.0)
         hyper = em.EigenHyperParams(t2_lambda=50.0, t2_theta=100.0, rank=2)
         _, var = em.theta_conditional_moments(state, hyper)
-        assert var == pytest.approx(1.0 / (0.01 + 1225.0), rel=1e-12)
+        assert var == pytest.approx(1.0 / (0.01 + 1250.0), rel=1e-12)
 
     def test_flat_prior_limit_recovers_mean(self):
         state, _ = fixed_state()
@@ -213,6 +213,23 @@ class TestRun:
                                       rng=rng)
         assert np.all(np.isfinite(res.theta_trace))
         assert np.all(np.isfinite(res.m_bar))
+
+    def test_all_missing_network_recovers_prior(self):
+        # with no observed dyad the posterior is the prior: theta and lambda
+        # ~ N(0, 1). The chain reaches it only if every update targets one
+        # joint law for Z; a theta update that drops the diagonal of Z
+        # gives E[lambda^2] near 1.06
+        net = em.SymmetricBinaryNetwork(np.full((3, 3), -1, dtype=np.int8))
+        hyper = em.EigenHyperParams(t2_lambda=1.0, t2_theta=1.0, rank=1)
+        res = em.run_eigenmodel_gibbs(net, hyper, iters=50_000, burn=0, thin=1,
+                                      rng=np.random.default_rng(50))
+        lam = res.lambda_trace[:, 0]
+        draws = np.column_stack([lam ** 2, res.theta_trace ** 2,
+                                 lam, res.theta_trace])
+        batch_means = draws.reshape(50, -1, 4).mean(axis=1)
+        se = batch_means.std(axis=0, ddof=1) / np.sqrt(50)
+        z = (draws.mean(axis=0) - np.array([1.0, 1.0, 0.0, 0.0])) / se
+        assert np.all(np.abs(z) < 4.0), z
 
     def test_constraint_checking_mode(self):
         net, rng = small_net(17)

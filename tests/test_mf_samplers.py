@@ -14,7 +14,7 @@ from stiefel_mcmc import (
 )
 from stiefel_mcmc.frames import frame_defect
 
-from oracles import VMF_M3_MEAN, vmf_mean_resultant
+from oracles import VMF_M3_MEAN, mf_matrix_gibbs_qr, vmf_mean_resultant
 
 
 def test_oracle_self_check():
@@ -123,6 +123,48 @@ class TestMatrixKernel:
         overlap = np.abs(np.linalg.svd(frame.entries.T @ base,
                                        compute_uv=False))
         assert np.all(overlap > 0.98)
+
+    def test_sweep_law_matches_complete_qr_reference(self):
+        # one sweep from a fixed frame, basis-free against the complete-QR
+        # construction; Wood's t drawn on the sphere of R^m instead of the
+        # complement's R^{m-r+1} fails both comparisons by far
+        rng = np.random.default_rng(21)
+        start = random_uniform_frame(4, 2, rng)
+        c = 2.0 * rng.standard_normal((4, 2))
+        n = 20_000
+        new = np.array([sample_mf_matrix_gibbs(c, start, rng).entries
+                        for _ in range(n)])
+        ref = np.array([mf_matrix_gibbs_qr(c, start.entries, rng)
+                        for _ in range(n)])
+        for j in range(2):
+            p = stats.ks_2samp(new[:, :, j] @ c[:, j],
+                               ref[:, :, j] @ c[:, j]).pvalue
+            assert p > 1e-3, (j, p)
+
+    def test_square_frame_only_flips_signs(self):
+        # R = m: column j is +-n_j, n_j the unit normal to the other
+        # columns, with P(c_j'u_j > 0) = 1/(1 + exp(-2|c_j'n_j|)); a zero
+        # column of C gives P = 1/2
+        rng = np.random.default_rng(22)
+        start = random_uniform_frame(3, 3, rng)
+        c = rng.standard_normal((3, 3))
+        c[:, 2] = 0.0
+        p_plus = 1.0 / (1.0 + np.exp(-2.0 * np.abs(
+            np.sum(c * start.entries, axis=0))))
+        p_plus[2] = 0.5
+        state = start
+        n = 4000
+        plus = np.zeros(3)
+        for _ in range(n):
+            state = sample_mf_matrix_gibbs(c, state, rng)
+            assert frame_defect(state.entries) <= 1e-12
+            cos = np.sum(state.entries * start.entries, axis=0)
+            np.testing.assert_allclose(np.abs(cos), 1.0, atol=1e-12)
+            aligned = np.sum(c * state.entries, axis=0) > 0
+            aligned[2] = cos[2] > 0
+            plus += aligned
+        se = np.sqrt(p_plus * (1.0 - p_plus) / n)
+        assert np.all(np.abs(plus / n - p_plus) < 4.0 * se), (plus / n, p_plus)
 
 
 def test_frame_repair_is_logged(caplog):

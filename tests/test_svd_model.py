@@ -216,3 +216,36 @@ class TestRunAndEstimators:
         assert sm.mean_squared_error(a, b) == 1.0
         with pytest.raises(DimensionError):
             sm.mean_squared_error(a, np.zeros((2, 3)))
+
+
+@pytest.mark.parametrize("rank", [1, 2])
+def test_geweke_successive_conditional_keeps_prior(rank):
+    # Geweke (2004): alternate y ~ p(y | U, V, d, sigma^2) with one Gibbs
+    # iteration given y. The prior is the stationary law of this chain, so
+    # the means of 1/sigma^2, 1/tau^2, m U_11^2, n V_11^2 and d_j^2/tau^2
+    # must match 1/s20, 1/t20, 1, 1 and 1 within batch-means error.
+    m, n = 4, 3
+    hyper = sm.SvdHyperParams(nu0=10.0, s20=0.5, eta0=10.0, t20=2.0)
+    rng = np.random.default_rng(40 + rank)
+    tau2 = 1.0 / rng.gamma(hyper.eta0 / 2.0, 2.0 / (hyper.eta0 * hyper.t20))
+    sigma2 = 1.0 / rng.gamma(hyper.nu0 / 2.0, 2.0 / (hyper.nu0 * hyper.s20))
+    state = sm.SvdModelState(U=random_uniform_frame(m, rank, rng),
+                             V=random_uniform_frame(n, rank, rng),
+                             d=rng.normal(0.0, np.sqrt(tau2), rank),
+                             sigma2=sigma2, tau2=tau2)
+    iters, batches = 20_000, 50
+    out = np.empty((iters, 4 + rank))
+    for it in range(iters):
+        y = state.mean_matrix() + np.sqrt(state.sigma2) * rng.standard_normal((m, n))
+        state = sm.update_u(state, y, rng)
+        state = sm.update_v(state, y, rng)
+        state = sm.update_d(state, y, rng)
+        state = sm.update_variances(state, y, hyper, rng)
+        out[it, :4] = (1.0 / state.sigma2, 1.0 / state.tau2,
+                       m * state.U.entries[0, 0] ** 2, n * state.V.entries[0, 0] ** 2)
+        out[it, 4:] = state.d ** 2 / state.tau2
+    prior = np.array([1.0 / hyper.s20, 1.0 / hyper.t20, 1.0, 1.0] + [1.0] * rank)
+    batch_means = out.reshape(batches, -1, out.shape[1]).mean(axis=1)
+    se = batch_means.std(axis=0, ddof=1) / np.sqrt(batches)
+    z = (out.mean(axis=0) - prior) / se
+    assert np.all(np.abs(z) < 4.0), z
