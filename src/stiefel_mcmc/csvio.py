@@ -65,33 +65,14 @@ def _split_header(rows):
     return None, rows
 
 
-def read_matrix(path) -> np.ndarray:
-    """Float matrix; NA/empty becomes NaN. Raises ParseError with the file
-    line number for ragged or non-numeric rows."""
-    path = Path(path)
-    header, rows = _split_header(_read_rows(path))
-    if not rows:
-        raise ParseError(f"{path}: no data rows after header")
-    width = len(rows[0][1])
-    out = np.empty((len(rows), width))
-    for r, (lineno, row) in enumerate(rows):
-        if len(row) != width:
-            raise ParseError(
-                f"{path}:{lineno}: expected {width} fields, found {len(row)}")
-        for c, tok in enumerate(row):
-            val = _to_float(tok)
-            if val is None:
-                raise ParseError(
-                    f"{path}:{lineno}: field {c + 1} is not numeric: {tok.strip()!r}")
-            out[r, c] = val
-    return out
+def _read_table(path, fault):
+    """Header (or None) and float table of a CSV file, NA/empty as NaN.
 
-
-def _read_binary_table(path, what: str, skip_diagonal: bool = False):
-    """Shared 0/1/NA table reader for adjacency and covariate files.
-
-    With skip_diagonal, cell (r, r) is forced missing without validation
-    (the adjacency diagonal is undefined and ignored whatever it holds).
+    Each data row is parsed field by field with ``_to_float`` (None for a
+    non-numeric field), then handed to the per-row cell check
+    `fault(r, row, vals)`, which returns None or the message naming the
+    first bad field of data row r; it may overwrite cells it ignores.
+    Every ParseError carries the file line number.
     """
     path = Path(path)
     header, rows = _split_header(_read_rows(path))
@@ -103,23 +84,46 @@ def _read_binary_table(path, what: str, skip_diagonal: bool = False):
         if len(row) != width:
             raise ParseError(
                 f"{path}:{lineno}: expected {width} fields, found {len(row)}")
-        for c, tok in enumerate(row):
-            if skip_diagonal and c == r:
-                table[r, c] = np.nan
-                continue
-            val = _to_float(tok)
-            if val is None or (not np.isnan(val) and val not in (0.0, 1.0)):
-                raise ParseError(
-                    f"{path}:{lineno}: {what} entry at field {c + 1} must be "
-                    f"0, 1 or NA, got {tok.strip()!r}")
-            table[r, c] = val
+        vals = [_to_float(tok) for tok in row]
+        message = fault(r, row, vals)
+        if message is not None:
+            raise ParseError(f"{path}:{lineno}: {message}")
+        table[r] = vals
     return header, table
+
+
+def _numeric_fault(r: int, row: list[str], vals: list) -> str | None:
+    if None in vals:
+        c = vals.index(None)
+        return f"field {c + 1} is not numeric: {row[c].strip()!r}"
+    return None
+
+
+def _binary_fault(what: str, skip_diagonal: bool = False):
+    """Cell check for 0/1/NA tables. With skip_diagonal, cell (r, r) is
+    set missing without validation (the adjacency diagonal is undefined and
+    ignored whatever it holds)."""
+    def fault(r: int, row: list[str], vals: list) -> str | None:
+        if skip_diagonal and r < len(vals):
+            vals[r] = np.nan
+        for c, val in enumerate(vals):
+            if val is None or (val == val and val not in (0.0, 1.0)):
+                return (f"{what} entry at field {c + 1} must be 0, 1 or NA, "
+                        f"got {row[c].strip()!r}")
+        return None
+    return fault
+
+
+def read_matrix(path) -> np.ndarray:
+    """Float matrix; NA/empty becomes NaN. Raises ParseError with the file
+    line number for ragged or non-numeric rows."""
+    return _read_table(path, _numeric_fault)[1]
 
 
 def parse_adjacency(path) -> SymmetricBinaryNetwork:
     """Validated n x n symmetric binary network; the diagonal is ignored."""
     path = Path(path)
-    _, table = _read_binary_table(path, "adjacency", skip_diagonal=True)
+    _, table = _read_table(path, _binary_fault("adjacency", skip_diagonal=True))
     if table.shape[0] != table.shape[1]:
         raise ParseError(
             f"{path}: adjacency must be square, got {table.shape[0]}x{table.shape[1]}")
@@ -129,7 +133,7 @@ def parse_adjacency(path) -> SymmetricBinaryNetwork:
 def parse_covariates(path, n: int | None = None) -> NodeCovariates:
     """Node covariate table (0/1/NA), optionally checked against n rows."""
     path = Path(path)
-    header, table = _read_binary_table(path, "covariate")
+    header, table = _read_table(path, _binary_fault("covariate"))
     if n is not None and table.shape[0] != n:
         raise ParseError(
             f"{path}: covariate table has {table.shape[0]} rows, network has {n} nodes")

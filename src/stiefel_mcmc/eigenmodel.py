@@ -78,7 +78,7 @@ class SymmetricBinaryNetwork:
 
     def observed_edge_density(self) -> float:
         """Fraction of observed off-diagonal entries equal to 1 (0.5 if none)."""
-        iu = np.triu_indices(self.n, 1)
+        iu = kernels.triu_indices(self.n)
         vals = self.codes[iu]
         obs = vals[vals >= 0]
         if obs.size == 0:

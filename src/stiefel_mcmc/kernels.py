@@ -4,8 +4,10 @@ Wood's (1994) von Mises-Fisher sampler, the angular-central-Gaussian
 Bingham sampler of Kent, Ganeiber & Mardia (2018), the probit Z fill and
 the one-sided truncated normal. Each draws from the generator in a fixed
 order, so a seed reproduces the same draws given the same NumPy and
-SciPy. ``BACKEND`` names this implementation and is recorded in CLI run
-manifests.
+SciPy. The two column kernels, ``mf_vector`` and ``bingham_spectral``,
+take the other columns of a frame as `others` and draw on the sphere of
+their orthogonal complement without forming a basis of it. ``BACKEND``
+names this implementation and is recorded in CLI run manifests.
 """
 from __future__ import annotations
 
@@ -14,6 +16,8 @@ import math
 
 import numpy as np
 from scipy.special import ndtr, ndtri
+
+from .errors import InputError
 
 BACKEND = "pure"
 
@@ -34,6 +38,19 @@ TAIL_SPLIT = 5.0
 # from b = 1 over random spectra with q up to 500; reaching this bound
 # means bad input, such as a non-finite entry.
 ACG_NEWTON_MAX_STEPS = 64
+
+# Grid points per bisection pass when locating the complement's spectral
+# floor; all of a pass is tested in one batch of NumPy operations. The
+# points sit this fraction of a step (2 - golden ratio) below the grid.
+FLOOR_GRID = 32
+FLOOR_GRID_OFFSET = 0.3819660112501051
+
+# Largest shift of the complement's envelope, in units of b, that the
+# rank-l downdate resolves: its precision entries reach -2t/b, and
+# S^-1 = 1/(1 - g_B) - H_BB loses about eps * (2t/b)^1.5 of its value,
+# 2e-4 here. Beyond it the proposal is no longer the stated Gaussian, so
+# the kernel raises instead of drawing.
+MAX_SHIFT_OVER_B = 5e7
 
 
 def sample_sphere(m: int, rng: np.random.Generator,
@@ -179,15 +196,21 @@ def mf_vector(c: np.ndarray, rng: np.random.Generator,
         return sample_sphere(m, rng, others)
     mu = c / kappa
 
-    b = (-2.0 * kappa + np.sqrt(4.0 * kappa * kappa + (q - 1.0) ** 2)) / (q - 1.0)
-    x0 = (1.0 - b) / (1.0 + b)
-    logc = kappa * x0 + (q - 1.0) * np.log1p(-x0 * x0)
+    # Wood's step written so that nothing cancels however large kappa is:
+    # b = (q-1)/(2 kappa + sqrt(4 kappa^2 + (q-1)^2)) and, with
+    # den = 1 - (1-b) z, 1 - t = 2 b z / den; the test is
+    # kappa (t - x0) + (q-1) log((1 - x0 t)/(1 - x0^2)) >= log U with
+    # x0 = (1-b)/(1+b), i.e. kappa (2b/(1+b) - (1-t)) + (q-1) log((1+b)/(2 den))
+    b = (q - 1.0) / (2.0 * kappa + math.hypot(2.0 * kappa, q - 1.0))
     half = 0.5 * (q - 1.0)
     while True:
         zb = rng.beta(half, half)
-        t = (1.0 - (1.0 + b) * zb) / (1.0 - (1.0 - b) * zb)
-        if kappa * t + (q - 1.0) * np.log1p(-x0 * t) - logc >= np.log(rng.random()):
+        den = 1.0 - (1.0 - b) * zb
+        one_minus_t = 2.0 * b * zb / den
+        if (kappa * (2.0 * b / (1.0 + b) - one_minus_t)
+                + (q - 1.0) * math.log((1.0 + b) / (2.0 * den))) >= np.log(rng.random()):
             break
+    t = 1.0 - one_minus_t
 
     # uniform direction in the tangent space at mu
     while True:
@@ -199,43 +222,188 @@ def mf_vector(c: np.ndarray, rng: np.random.Generator,
         if norm > 1e-12:
             v /= norm
             break
-    u = t * mu + np.sqrt(max(0.0, 1.0 - t * t)) * v
+    u = t * mu + math.sqrt(max(0.0, one_minus_t * (2.0 - one_minus_t))) * v
     return u / np.linalg.norm(u)
 
 
-def bingham_spectral(lam: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Exact draw y with density prop-to exp(sum_i lam_i y_i^2) on S^{q-1}.
+def bingham_spectral(lam: np.ndarray, rng: np.random.Generator,
+                     others: np.ndarray | None = None) -> np.ndarray:
+    """Exact draw y with density prop-to exp(sum_i lam_i y_i^2) on a sphere.
+
+    Without `others`, y ranges over the unit sphere S^{q-1} of R^q, q =
+    len(lam). Given an n x k matrix `others` with orthonormal columns,
+    n = len(lam), y ranges over the unit sphere of their orthogonal
+    complement, of dimension q - 1 with q = n - k, and no basis of that
+    complement is formed.
 
     Rejection from an angular-central-Gaussian envelope (Kent, Ganeiber &
-    Mardia 2018): propose y = x/|x| with x ~ N(0, Omega^{-1}),
-    Omega = I + 2*lam_hat/b, where lam_hat = max(lam) - lam >= 0. With
-    s = sum_i lam_hat_i y_i^2, the envelope bound
-    exp(-s) (1 + 2s/b)^{q/2} <= exp(-(q-b)/2) (q/b)^{q/2} holds for every
-    b in (0, q] and s >= 0, so any such b gives exact draws; b only sets
-    the acceptance rate. The tuning constant solving
-    sum_i 1/(b + 2*lam_hat_i) = 1 (found by Newton's method, see
-    ``_acg_envelope_parameter``) keeps acceptance high even for strongly
-    concentrated targets. Each proposal takes one ``standard_normal(q)``
-    and one ``random()`` from the generator.
+    Mardia 2018). With lam_hat = max(lam) - lam >= 0, a shift t and
+    s = sum_i lam_hat_i y_i^2, the target is prop-to exp(-(s - t)); the
+    proposal is y = x/|x| with x Gaussian on the sphere's span with
+    precision I + 2*(lam_hat - t)/b there, whose direction has density
+    prop-to (1 + 2(s - t)/b)^{-q/2}. The bound
+    exp(-u) (1 + 2u/b)^{q/2} <= exp(-(q-b)/2) (q/b)^{q/2} holds for every
+    b > 0 and u > -b/2, so the draws are exact for any b and any t for
+    which that precision is positive definite; b and t only set the
+    acceptance rate. b solves sum_i 1/(b + 2*mu_i) = 1 for a spectrum mu
+    with minimum 0 (Newton's method, see ``_acg_envelope_parameter``).
+
+    Without `others`, mu = lam_hat, t = 0 and each proposal takes one
+    ``standard_normal(q)`` and one ``random()``. Given `others`, mu
+    approximates the complement's spectrum
+    (``_complement_envelope_parameter``), x is drawn on R^n and
+    conditioned on others'x = 0 by kriging, and t is the smallest value of
+    s on the complement (``_complement_floor``) when the other columns
+    hold the top of the spectrum, else 0; entries with precision below 1
+    then enter through a rank-l correction (see ``_kriged_proposal``).
+    Each proposal takes one ``standard_normal(n + l)`` and one
+    ``random()``. Raises InputError when the shift exceeds
+    ``MAX_SHIFT_OVER_B`` times b, beyond which double precision cannot
+    represent the proposal.
     """
     lam = np.asarray(lam, dtype=np.float64)
-    q = lam.shape[0]
-    if q == 1:
+    n = lam.shape[0]
+    q = n if others is None else n - others.shape[1]
+    if q == 1 and others is None:
         return np.array([1.0 if rng.random() < 0.5 else -1.0])
     lam_hat = np.max(lam) - lam
-    if not lam_hat.any():
-        return sample_sphere(q, rng)
-    b = _acg_envelope_parameter(lam_hat)
-    scale = 1.0 / np.sqrt(1.0 + 2.0 * lam_hat / b)
+    if q == 1 or not lam_hat.any():
+        return sample_sphere(n, rng, others)
+    if others is None:
+        b = _acg_envelope_parameter(lam_hat)
+        t = 0.0
+        scale = 1.0 / np.sqrt(1.0 + 2.0 * lam_hat / b)
+        extra = 0
+    else:
+        b = _complement_envelope_parameter(lam_hat, others)
+        t = _complement_floor(lam_hat, others, b)
+        if t > MAX_SHIFT_OVER_B * b:
+            raise InputError(
+                f"column conditional too concentrated for double precision: "
+                f"its spectral floor {t:.3g} is {t / b:.3g} times the envelope "
+                f"constant (at most {MAX_SHIFT_OVER_B:.0e})")
+        scale, f, fk, corr = _kriged_proposal(lam_hat, others, b, t)
+        extra = corr.shape[1]
     log_m = 0.5 * (b - q) + 0.5 * q * math.log(q / b)
     while True:
-        x = rng.standard_normal(q) * scale
+        z = rng.standard_normal(n + extra)
+        if others is None:
+            x = z * scale
+        else:
+            y = z[:n]
+            x = (y - f @ (fk @ y)) * scale
+            if extra:
+                x += corr @ z[n:]
         nrm2 = float(x @ x)
         if nrm2 <= 1e-24:
             continue
-        s = float((x * x) @ lam_hat) / nrm2  # s = sum_i lam_hat_i y_i^2
-        if np.log(rng.random()) < 0.5 * q * math.log1p(2.0 * s / b) - s - log_m:
-            return x / math.sqrt(nrm2)
+        u = float((x * x) @ lam_hat) / nrm2 - t  # u = s - t, s = sum_i lam_hat_i y_i^2
+        if np.log(rng.random()) < 0.5 * q * math.log1p(2.0 * u / b) - u - log_m:
+            if others is None:
+                return x / math.sqrt(nrm2)
+            x = _project_off(x, others)
+            return x / np.linalg.norm(x)
+
+
+def _complement_envelope_parameter(lam_hat: np.ndarray,
+                                   others: np.ndarray) -> float:
+    """b for the envelope on the complement of `others`: the root of
+    ``_acg_envelope_parameter`` for lam_hat without the k entries whose
+    axes lie most inside the span of the k columns, shifted to its minimum.
+    That is the complement's own spectrum, shifted to its floor, when the
+    columns are coordinate axes, and close to it when they hold the top of
+    the spectrum, where the root for all of lam_hat is far too small."""
+    k = others.shape[1]
+    inside = np.einsum("ij,ij->i", others, others)
+    kept = lam_hat[np.argpartition(inside, lam_hat.shape[0] - k)[:-k]]
+    kept = kept - kept.min()
+    return _acg_envelope_parameter(kept) if kept.any() else float(kept.shape[0])
+
+
+def _complement_floor(lam_hat: np.ndarray, others: np.ndarray,
+                      b: float) -> float:
+    """The shift t for the envelope on the complement of `others`: 0 when
+    delta <= b/4, else a lower bound on delta within b/8. delta is the
+    smallest value of s = y' diag(lam_hat) y over unit y orthogonal to the
+    columns W of `others`, the smallest eigenvalue of the compression C of
+    diag(lam_hat) to their complement; it is positive only when W holds
+    the top of the spectrum.
+
+    The Rayleigh quotient of the top axis projected off W bounds delta
+    from above, which settles the common case in O(nk^2). Otherwise delta
+    lies in [0, lam_hat_(k+1)], the (k+1)-th smallest entry, by
+    interlacing, and is found by grid bisection on the test sigma < delta,
+    which holds exactly when C - sigma is positive definite: with
+    G = diag(lam_hat) - sigma and K = W'G^-1 W, the inertia of the
+    bordered matrix [[G, W], [W', 0]] gives #neg(C - sigma) =
+    #neg(G) - #neg(K) whenever G and K are nonsingular, so the test is
+    #neg(G) == #neg(K), read off the pivots of K's LDL' factorization.
+    Each pass tests FLOOR_GRID points in one batch, offset from the
+    bracket's grid by an irrational fraction of a step so that no point
+    meets an entry of lam_hat (a pole of G^-1) on evenly spaced spectra.
+    """
+    top = others[int(np.argmin(lam_hat))]
+    free = 1.0 - float(top @ top)
+    if free > 0.0 and top @ (others.T @ (lam_hat * (others @ top))) <= 0.25 * b * free:
+        return 0.0
+    k = others.shape[1]
+    lo, hi = 0.0, float(np.partition(lam_hat, k)[k])
+    offsets = (np.arange(1, FLOOR_GRID + 1) - FLOOR_GRID_OFFSET) / FLOOR_GRID
+    while hi - lo > 0.125 * b:
+        sigma = lo + (hi - lo) * offsets
+        g = lam_hat - sigma[:, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            kk = np.einsum("ni,sn,nj->sij", others, 1.0 / g, others)
+            neg = np.zeros(FLOOR_GRID, dtype=np.intp)
+            for p in range(k):
+                piv = kk[:, p, p]
+                neg += piv < 0.0
+                kk[:, p + 1:, p + 1:] -= (kk[:, p + 1:, p, None]
+                                          * kk[:, None, p, p + 1:]
+                                          / piv[:, None, None])
+        below = np.count_nonzero(g < 0.0, axis=1) == neg
+        m = FLOOR_GRID if below.all() else int(np.argmin(below))
+        if m < FLOOR_GRID:
+            hi = float(sigma[m])
+        if m:
+            lo = float(sigma[m - 1])
+    return lo if lo > 0.125 * b else 0.0
+
+
+def _kriged_proposal(lam_hat: np.ndarray, others: np.ndarray, b: float,
+                     t: float):
+    """Factors for x ~ N(0, (P G P)^+) on the complement of `others`,
+    G = diag(g), g = 1 + 2 (lam_hat - t)/b, P the projector off `others`.
+
+    Entries with g_i < 1 are raised to 1 in D = diag(d). Kriging
+    x0 ~ N(0, D^-1) onto the complement is x = D^-1/2 (I - P_F) z with
+    z ~ N(0, I) and P_F the projector onto the span of F = D^-1/2 W, so x
+    has covariance H = D^-1/2 (I - P_F) D^-1/2. Lowering those l entries
+    back to g_i is a rank-l downdate of the precision, so by Woodbury the
+    covariance becomes H + H_B S H_B' with H_B the columns B of H and
+    S = (diag(1/(1 - g_B)) - H_BB)^-1; x gets H_B w, w ~ N(0, S), added.
+    S exists exactly when P G P is positive definite on the complement,
+    which holds whenever t < delta + b/2 and so for the shift from
+    ``_complement_floor``, which is at most delta. H_B = D^-1/2 R_B and
+    H_BB = R_B'R_B with R_B the axes B projected off span(F), twice: the
+    axes lie almost inside that span when the columns are concentrated,
+    and 1 - |P_F e_B|^2 would lose the digits the difference S^-1 needs.
+    Returns (d^-1/2, F, (F'F)^-1 F', H_B L^-T) with S^-1 = L L'.
+    """
+    g = 1.0 + 2.0 * (lam_hat - t) / b
+    low = np.nonzero(g < 1.0)[0]
+    sd = 1.0 / np.sqrt(np.maximum(g, 1.0))
+    f = others * sd[:, None]
+    fk = np.linalg.solve(f.T @ f, f.T)
+    if not low.size:
+        return sd, f, fk, np.empty((lam_hat.shape[0], 0))
+    r_b = np.zeros((lam_hat.shape[0], low.size))
+    r_b[low, np.arange(low.size)] = 1.0
+    r_b -= f @ (fk @ r_b)
+    r_b -= f @ (fk @ r_b)
+    s_inv = np.diag(1.0 / (1.0 - g[low])) - r_b.T @ r_b
+    chol = np.linalg.cholesky(0.5 * (s_inv + s_inv.T))
+    return sd, f, fk, np.linalg.solve(chol, (sd[:, None] * r_b).T).T
 
 
 def _acg_envelope_parameter(lam_hat: np.ndarray) -> float:

@@ -17,6 +17,13 @@ is the target; it is not an independent draw from the target. For an
 approximately independent draw, ``sample_mf_matrix`` runs a documented
 number of burn sweeps from a uniform start.
 
+Both sweeps redraw a column through one kernel contract,
+``kernels.mf_vector(c, rng, others)`` and
+``kernels.bingham_spectral(lam, rng, others)``: the kernel is handed the
+other columns and returns a unit vector orthogonal to them, and no basis
+of their complement is formed. The Bingham sweep works in the eigenbasis
+of A, decomposed once per sweep.
+
 Square frames (R = m) are accepted but the sweep degenerates there: each
 column is determined by the others up to sign, so the kernel only flips
 signs and is not irreducible on the orthogonal group. Keep R < m when the
@@ -35,6 +42,7 @@ from .frames import (
     OrthonormalFrame,
     frame_defect,
     orthonormalize,
+    random_uniform_frame,
     require_symmetric,
 )
 
@@ -63,15 +71,6 @@ def sample_bingham_vector(A: np.ndarray, rng: np.random.Generator) -> np.ndarray
     y = kernels.bingham_spectral(lam, rng)
     u = evecs @ y
     return u / np.linalg.norm(u)
-
-
-def _null_basis(u: np.ndarray, j: int) -> np.ndarray:
-    """Orthonormal basis N of the orthogonal complement of the columns of u
-    other than column j, for r >= 2 columns. Shape (m, m-r+1)."""
-    r = u.shape[1]
-    others = np.delete(u, j, axis=1)
-    q, _ = np.linalg.qr(others, mode="complete")
-    return q[:, r - 1:]
 
 
 def _check_kernel_args(param: np.ndarray, current: OrthonormalFrame, name: str):
@@ -118,22 +117,17 @@ def sample_mf_matrix_gibbs(C: np.ndarray,
 
 def sample_mf_matrix(C: np.ndarray,
                      rng: np.random.Generator,
-                     sweeps: int = DEFAULT_BURN_SWEEPS,
-                     initial: OrthonormalFrame | None = None) -> OrthonormalFrame:
+                     sweeps: int = DEFAULT_BURN_SWEEPS) -> OrthonormalFrame:
     """Approximately independent draw targeting etr(C'U).
 
-    Runs `sweeps` Gibbs sweeps (default 25) from a uniform random frame,
-    or from `initial` when given. The result is a Markov-chain state, not
-    an exact draw; 25 sweeps is ample for the moderate concentrations
-    arising in the bundled models.
+    Runs `sweeps` Gibbs sweeps (default 25) from a uniform random frame.
+    The result is a Markov-chain state, not an exact draw; 25 sweeps is
+    ample for the moderate concentrations arising in the bundled models.
     """
-    from .frames import random_uniform_frame
-
     c = np.asarray(C, dtype=np.float64)
     if c.ndim != 2:
         raise DimensionError("C must be a matrix")
-    state = initial if initial is not None else random_uniform_frame(
-        c.shape[0], c.shape[1], rng)
+    state = random_uniform_frame(c.shape[0], c.shape[1], rng)
     for _ in range(max(1, sweeps)):
         state = sample_mf_matrix_gibbs(c, state, rng)
     return state
@@ -150,6 +144,15 @@ def sample_bingham_matrix_gibbs(A: np.ndarray,
     makes the kernel honor that invariance by construction (identical
     random streams give identical output) while also keeping the
     exponentials well scaled.
+
+    The centred A is decomposed once, A = E diag(lam) E', and the sweep
+    holds Ut = E'U. Column j of Ut is redrawn from its full conditional, the
+    vector Bingham law exp(b_j v' diag(lam) v) on the unit sphere
+    orthogonal to the other columns, by
+    ``kernels.bingham_spectral(b_j * lam, rng, others)``; U = E Ut is formed
+    once at the end. One ``eigh`` per sweep and O(n k) work per proposal,
+    k = R - 1; b_j = 0 gives a uniform draw on that sphere. For R = 1
+    each sweep is one exact vector draw.
     """
     a = require_symmetric(A)
     bvec = np.atleast_1d(np.asarray(b, dtype=np.float64))
@@ -165,16 +168,10 @@ def sample_bingham_matrix_gibbs(A: np.ndarray,
     m = a.shape[0]
     a = a - (np.trace(a) / m) * np.eye(m)
 
-    u = current.entries.copy()
-    r = u.shape[1]
+    lam, evecs = np.linalg.eigh(a)
+    ut = evecs.T @ current.entries
+    r = ut.shape[1]
     for j in range(r):
-        nb = _null_basis(u, j) if r > 1 else None
-        if bvec[j] == 0.0:
-            q = m if nb is None else nb.shape[1]
-            z = kernels.sample_sphere(q, rng)
-        else:
-            sub = a if nb is None else nb.T @ a @ nb
-            lam, evecs = np.linalg.eigh(bvec[j] * sub)
-            z = evecs @ kernels.bingham_spectral(lam, rng)
-        u[:, j] = z if nb is None else nb @ z
-    return _ensure_frame(u)
+        others = np.delete(ut, j, axis=1) if r > 1 else None
+        ut[:, j] = kernels.bingham_spectral(bvec[j] * lam, rng, others)
+    return _ensure_frame(evecs @ ut)

@@ -90,6 +90,26 @@ def mf_matrix_gibbs_qr(C: np.ndarray, U: np.ndarray,
     return u
 
 
+def bingham_matrix_gibbs_qr(A: np.ndarray, b: np.ndarray, U: np.ndarray,
+                            rng: np.random.Generator) -> np.ndarray:
+    """One column sweep targeting etr(diag(b) U'AU), r >= 2, by the
+    complete-QR construction: N spans the complement of the other columns,
+    z is an exact vector Bingham draw with parameter b_j N'AN on the sphere
+    of R^{m-r+1}, and u_j = N z. The reference for the eigenbasis sweep; it
+    shares only the vector sampler (no other columns), which is checked
+    against quadrature on its own."""
+    from stiefel_mcmc import sample_bingham_vector
+
+    u = np.array(U, dtype=np.float64)
+    r = u.shape[1]
+    for j in range(r):
+        q, _ = np.linalg.qr(np.delete(u, j, axis=1), mode="complete")
+        nb = q[:, r - 1:]
+        sub = nb.T @ A @ nb
+        u[:, j] = nb @ sample_bingham_vector(b[j] * 0.5 * (sub + sub.T), rng)
+    return u
+
+
 # Frozen quadrature values (recomputed by test_oracle_self_check):
 VMF_M3_MEAN = {0.5: 0.1639534137, 2.0: 0.5373147207, 8.0: 0.8750002251}
 BINGHAM2_DIAG3 = 0.7980666194  # E[u1^2] for A=diag(3,0)

@@ -1,16 +1,24 @@
+import logging
+
 import numpy as np
 import pytest
 from scipy import stats
 
 from stiefel_mcmc import (
     ConstraintError,
+    InputError,
     random_uniform_frame,
     sample_bingham_matrix_gibbs,
     sample_bingham_vector,
 )
 from stiefel_mcmc.frames import OrthonormalFrame, frame_defect
 
-from oracles import BINGHAM2_DIAG3, bingham2_angle_density, bingham2_moment
+from oracles import (
+    BINGHAM2_DIAG3,
+    bingham2_angle_density,
+    bingham2_moment,
+    bingham_matrix_gibbs_qr,
+)
 
 
 def test_oracle_self_check():
@@ -189,3 +197,79 @@ class TestMatrixKernel:
         cell_probs /= cell_probs.sum()
         res = stats.chisquare(counts, f_exp=n_draws * cell_probs)
         assert res.pvalue > 0.01
+
+
+def _rotated(spectrum, rng):
+    q = np.linalg.qr(rng.standard_normal((len(spectrum), len(spectrum))))[0]
+    return q, (q * spectrum) @ q.T
+
+
+class TestEigenbasisSweep:
+    @pytest.mark.parametrize("case", ["concentrated", "zero_b"])
+    def test_sweep_law_matches_complete_qr_reference(self, case):
+        # one sweep from a fixed frame against the complete-QR construction.
+        # "concentrated": eigenvalue spread 20 and a start whose columns hold
+        # the top eigenvectors, so each column's complement misses the top
+        # of the spectrum and the envelope is shifted to its floor;
+        # "zero_b": one column has b_j = 0 and is uniform on its sphere
+        rng = np.random.default_rng(31)
+        if case == "concentrated":
+            evecs, a = _rotated(np.array([12.0, 6.0, 0.0, -4.0, -8.0]), rng)
+            b = np.array([1.0, 0.7, 0.4])
+            tilt = evecs[:, :3] + 0.05 * rng.standard_normal((5, 3))
+            start = OrthonormalFrame(np.linalg.qr(tilt)[0])
+        else:
+            _, a = _rotated(np.array([3.0, 1.0, -0.5, -2.0]), rng)
+            b = np.array([1.3, 0.0])
+            start = random_uniform_frame(4, 2, rng)
+        n = 20_000
+        new = np.array([sample_bingham_matrix_gibbs(a, b, start, rng).entries
+                        for _ in range(n)])
+        ref = np.array([bingham_matrix_gibbs_qr(a, b, start.entries, rng)
+                        for _ in range(n)])
+        for j in range(b.shape[0]):
+            for stat in (lambda u: np.einsum("ki,ij,kj->k", u, a, u),
+                         lambda u: u[:, 0] ** 2):
+                p = stats.ks_2samp(stat(new[:, :, j]), stat(ref[:, :, j])).pvalue
+                assert p > 1e-3, (j, p)
+
+    def test_one_eigh_and_no_qr_per_sweep(self, monkeypatch):
+        rng = np.random.default_rng(32)
+        _, a = _rotated(np.array([4.0, 2.0, 1.0, 0.0, -1.0, -3.0]), rng)
+        start = random_uniform_frame(6, 3, rng)
+        calls = {"eigh": 0, "qr": 0}
+        for name in calls:
+            real = getattr(np.linalg, name)
+
+            def counted(*args, _real=real, _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, counted)
+        sample_bingham_matrix_gibbs(a, np.array([2.0, 1.0, 0.5]), start, rng)
+        assert calls == {"eigh": 1, "qr": 0}
+
+    def test_strong_concentration_keeps_frame_without_repair(self, caplog,
+                                                             deadline):
+        # eigenvalue spread 1e3 at n = 50: every column is pinned near an
+        # eigenvector and its complement misses the top of the spectrum
+        rng = np.random.default_rng(33)
+        _, a = _rotated(np.linspace(0.0, 1e3, 50), rng)
+        b = np.array([3.0, 2.0, 1.0])
+        state = random_uniform_frame(50, 3, rng)
+        with caplog.at_level(logging.WARNING, logger="stiefel_mcmc"), deadline(60.0):
+            for _ in range(200):
+                state = sample_bingham_matrix_gibbs(a, b, state, rng)
+                assert frame_defect(state.entries) <= 1e-12
+        assert not caplog.records
+
+    def test_concentration_beyond_double_precision_raises(self):
+        # a spectral floor 3e10 times the envelope constant leaves the
+        # downdate no correct digits; the sweep must say so, not loop
+        rng = np.random.default_rng(34)
+        _, a = _rotated(np.linspace(0.0, 1e12, 20), rng)
+        a = 0.5 * (a + a.T)
+        state = random_uniform_frame(20, 3, rng)
+        with pytest.raises(InputError, match="too concentrated"):
+            for _ in range(5):
+                state = sample_bingham_matrix_gibbs(a, np.array([3.0, 2.0, 1.0]),
+                                                    state, rng)

@@ -279,3 +279,17 @@ def test_log_env_var_controls_verbosity(tmp_path):
         capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "wrote" in proc.stderr
+
+
+def test_full_rank_svd_fit_terminates(tmp_path):
+    # at full rank the MLE start leaves sigma^2 near 1e-30, so the MF
+    # concentrations reach ~1e30; Wood's loop used to compare NaNs forever
+    sim = tmp_path / "sim"
+    assert run_cli("svd-sim", "--seed", 1, "--out-dir", sim) == 0
+    proc = subprocess.run(
+        [sys.executable, "-m", "stiefel_mcmc.cli", "svd-fit",
+         "--input", str(sim / "Y.csv"), "--rank", "40", "--iters", "20",
+         "--thin", "5", "--seed", "1", "--out-dir", str(tmp_path / "fit")],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert np.all(np.isfinite(csvio.read_matrix(tmp_path / "fit" / "d_trace.csv")))

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from scipy.stats import norm
@@ -114,3 +116,96 @@ def test_acg_envelope_parameter_solves_and_matches_bisection():
 def test_acg_envelope_parameter_raises_instead_of_returning_unconverged():
     with pytest.raises(RuntimeError, match="did not converge"):
         kernels._acg_envelope_parameter(np.array([0.0, np.nan, 1.0]))
+
+
+@pytest.mark.parametrize("q", [3, 5])
+@pytest.mark.parametrize("kappa", [1e9, 1e20, 1e40])
+def test_mf_vector_returns_at_huge_concentration(kappa, q, deadline):
+    # Wood's b = (-2k + sqrt(4k^2 + (q-1)^2))/(q-1) cancels to 0 here and
+    # the cancelling form compared NaNs forever
+    c = np.zeros(q)
+    c[-1] = kappa
+    rng = np.random.default_rng(14)
+    with deadline(10.0):
+        draws = [kernels.mf_vector(c, rng) for _ in range(20)]
+    for u in draws:
+        assert abs(u @ u - 1.0) <= 1e-12
+        assert u[-1] > 1.0 - 1e-6
+
+
+# sha256 prefixes of 200 draws per case, recorded from the kernel before it
+# took `others`: (seed, q, scale of the uniform spectrum) -> digest
+BINGHAM_NO_OTHERS_DIGESTS = {
+    (1, 1, 1.0): "878e334747387e8d",
+    (2, 2, 0.5): "f081dc88953e5ef3",
+    (3, 3, 5.0): "def259437c927e6b",
+    (4, 7, 40.0): "79a5e903cf02e92a",
+    (5, 49, 10.0): "4b4b34b76e6fb55c",
+    (6, 5, 0.0): "5996b9fec820e934",
+}
+
+
+@pytest.mark.parametrize("case", sorted(BINGHAM_NO_OTHERS_DIGESTS))
+def test_bingham_spectral_without_others_draws_as_before(case):
+    seed, q, scale = case
+    rng = np.random.default_rng(seed)
+    lam = np.sort(rng.uniform(-1.0, 1.0, q)) * scale
+    draws = np.array([kernels.bingham_spectral(lam, rng) for _ in range(200)])
+    digest = hashlib.sha256(draws.tobytes()).hexdigest()[:16]
+    assert digest == BINGHAM_NO_OTHERS_DIGESTS[case]
+
+
+def _blocking_others(lam, k, rng, tilt):
+    """k orthonormal columns near the eigen-directions of the k largest
+    entries of lam, so that their complement misses the top of the
+    spectrum; tilt = 1 gives columns in general position."""
+    n = lam.shape[0]
+    top = np.eye(n)[:, np.argsort(lam)[::-1][:k]]
+    mix = (1.0 - tilt) * top + tilt * rng.standard_normal((n, k))
+    return np.linalg.qr(mix)[0]
+
+
+@pytest.mark.parametrize("n,k,scale,tilt", [
+    (2, 1, 3.0, 1.0), (4, 3, 5.0, 0.1), (5, 2, 0.0, 1.0), (6, 2, 40.0, 0.05),
+    (30, 2, 500.0, 0.02), (50, 1, 20.0, 1.0), (50, 3, 3e3, 0.01)])
+def test_bingham_spectral_with_others_unit_and_orthogonal(n, k, scale, tilt,
+                                                          deadline):
+    rng = np.random.default_rng(15)
+    lam = rng.uniform(-1.0, 1.0, n) * scale
+    others = _blocking_others(lam, k, rng, tilt)
+    with deadline(20.0):
+        for _ in range(50):
+            y = kernels.bingham_spectral(lam, rng, others)
+            assert abs(y @ y - 1.0) <= 1e-12
+            assert np.abs(others.T @ y).max() <= 1e-14
+
+
+@pytest.mark.parametrize("spacing", ["random", "even"])
+def test_complement_floor_bounds_the_restricted_minimum(spacing):
+    # delta = smallest eigenvalue of diag(lam_hat) compressed to the
+    # complement of `others`; the shift t must be 0 when delta <= b/4 and
+    # within b/8 below delta otherwise. Evenly spaced spectra put grid
+    # points of the bisection on entries of lam_hat unless they are offset.
+    rng = np.random.default_rng(16)
+    shifted = 0
+    for _ in range(200):
+        n = int(rng.integers(3, 40))
+        k = int(rng.integers(1, min(4, n - 1)))
+        if spacing == "even":
+            lam = np.arange(n) * 10.0 ** rng.uniform(-1.0, 2.5)
+        else:
+            lam = rng.uniform(0.0, 1.0, n) * 10.0 ** rng.uniform(-1.0, 3.0)
+        lam_hat = lam.max() - lam
+        others = _blocking_others(lam, k, rng, 10.0 ** rng.uniform(-3.0, 0.0))
+        proj = np.eye(n) - others @ others.T
+        delta = np.linalg.eigvalsh(
+            proj @ np.diag(lam_hat) @ proj + (lam_hat.max() + 1.0) * others @ others.T)[0]
+        b = kernels._acg_envelope_parameter(lam_hat)
+        t = kernels._complement_floor(lam_hat, others, b)
+        slack = 1e-9 * (1.0 + lam_hat.max())
+        if t == 0.0:
+            assert delta <= 0.25 * b + slack
+        else:
+            shifted += 1
+            assert t - slack <= delta <= t + 0.125 * b + slack
+    assert shifted >= 50
