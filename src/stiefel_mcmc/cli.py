@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import multiprocessing
 import os
 import sys
 import time
@@ -36,6 +37,10 @@ log = logging.getLogger("stiefel_mcmc")
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_IO = 3
+
+# BLAS thread-count variables pinned to 1 while --chains workers start, so
+# that parallel chains do not oversubscribe the CPUs
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _setup_logging():
@@ -58,6 +63,14 @@ def _manifest(cfg, extra=None) -> dict:
     if extra:
         payload.update(extra)
     return payload
+
+
+def _chain_manifest(cfg, chain: int, extra: dict) -> dict:
+    """The manifest of one chain, with the BLAS thread variables its
+    process saw."""
+    return _manifest(cfg, {"chain": chain, **extra,
+                           "blas_threads": {k: os.environ.get(k)
+                                            for k in BLAS_THREAD_VARS}})
 
 
 def cmd_svd_sim(cfg) -> int:
@@ -83,9 +96,9 @@ def _log_chain_rate(chain: int, iters: int, seconds: float) -> None:
 def _svd_fit_single(cfg, chain: int, out: Path) -> None:
     rng = derive_rng(cfg.seed, "svd-fit", chain)
     y = csvio.read_matrix(cfg.input)
-    if np.isnan(y).any():
-        raise StiefelMcmcError(f"{cfg.input}: missing entries are not supported "
-                               "by the low-rank mean model")
+    if not np.isfinite(y).all():
+        raise StiefelMcmcError(f"{cfg.input}: missing or non-finite entries are "
+                               "not supported by the low-rank mean model")
     hyper = svd_model.SvdHyperParams(nu0=cfg.nu0, s20=cfg.s20,
                                      eta0=cfg.eta0, t20=cfg.t20)
     start = time.perf_counter()
@@ -114,8 +127,8 @@ def _svd_fit_single(cfg, chain: int, out: Path) -> None:
             for name, value in rows:
                 fh.write(f"{name},{csvio.format_value(value)}\n")
     csvio.write_manifest(out / "manifest.json",
-                         _manifest(cfg, {"chain": chain,
-                                         "saved_count": result.saved_count}))
+                         _chain_manifest(cfg, chain,
+                                         {"saved_count": result.saved_count}))
 
 
 def cmd_svd_fit(cfg) -> int:
@@ -152,10 +165,10 @@ def _eigen_fit_single(cfg, chain: int, out: Path) -> None:
         table = np.column_stack([table, cov.table])
     csvio.write_matrix(out / "positions.csv", table, header=header)
     csvio.write_manifest(out / "manifest.json",
-                         _manifest(cfg, {"chain": chain, "n": net.n,
-                                         "t2_lambda": t2_lambda,
-                                         "saved_count": result.saved_count,
-                                         "eigenvalues": [float(v) for v in eigvals]}))
+                         _chain_manifest(cfg, chain,
+                                         {"n": net.n, "t2_lambda": t2_lambda,
+                                          "saved_count": result.saved_count,
+                                          "eigenvalues": [float(v) for v in eigvals]}))
 
 
 def cmd_eigen_fit(cfg) -> int:
@@ -163,7 +176,14 @@ def cmd_eigen_fit(cfg) -> int:
 
 
 def _fan_out(cfg, worker) -> int:
-    """Run `worker` once, or once per chain in separate processes."""
+    """Run `worker` once, or once per chain in separate processes.
+
+    Chain processes are spawned, not forked, with the BLAS thread
+    variables set to 1 while they start: the BLAS library reads them when
+    NumPy is first imported, which a forked child inherits from the
+    parent. The parent's environment is restored once every worker has
+    started.
+    """
     out = _outdir(cfg)
     if cfg.chains <= 1:
         worker(cfg, 0, out)
@@ -174,9 +194,20 @@ def _fan_out(cfg, worker) -> int:
         sub = out / f"chain_{k:02d}"
         sub.mkdir(parents=True, exist_ok=True)
         subdirs.append(sub)
-    with ProcessPoolExecutor(max_workers=min(cfg.chains, os.cpu_count() or 1)) as ex:
-        futures = [ex.submit(worker, cfg, k, sub)
-                   for k, sub in enumerate(subdirs)]
+    with ProcessPoolExecutor(max_workers=min(cfg.chains, os.cpu_count() or 1),
+                             mp_context=multiprocessing.get_context("spawn"),
+                             initializer=_setup_logging) as ex:
+        saved = {k: os.environ.get(k) for k in BLAS_THREAD_VARS}
+        os.environ.update({k: "1" for k in BLAS_THREAD_VARS})
+        try:
+            futures = [ex.submit(worker, cfg, k, sub)
+                       for k, sub in enumerate(subdirs)]
+        finally:
+            for k, v in saved.items():
+                if v is None:
+                    os.environ.pop(k, None)
+                else:
+                    os.environ[k] = v
         for fut in futures:
             fut.result()
     return EXIT_OK

@@ -243,7 +243,6 @@ class EigenGibbsResult:
     theta_trace: np.ndarray    # (saved,)
     m_bar: np.ndarray          # posterior mean of U Lambda U'
     saved_count: int
-    final_state: EigenmodelState
 
 
 def run_eigenmodel_gibbs(y: SymmetricBinaryNetwork, hyper: EigenHyperParams,
@@ -279,8 +278,7 @@ def run_eigenmodel_gibbs(y: SymmetricBinaryNetwork, hyper: EigenHyperParams,
     return EigenGibbsResult(lambda_trace=np.array(lam_rows),
                             theta_trace=np.array(theta_vals),
                             m_bar=msum / saved,
-                            saved_count=saved,
-                            final_state=state)
+                            saved_count=saved)
 
 
 def latent_positions(m_bar: np.ndarray, rank: int) -> tuple[np.ndarray, np.ndarray]:

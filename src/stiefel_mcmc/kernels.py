@@ -173,7 +173,8 @@ def mf_vector(c: np.ndarray, rng: np.random.Generator,
     direction is a ``standard_normal(m)`` projected off `others` and off
     mu. For q = 1 the sphere is the two points {n, -n}, n a unit normal of
     the complement, and u = n with probability 1/(1 + exp(-2 c'n)); for
-    kappa = 0 the draw is uniform.
+    kappa = 0 the draw is uniform. Raises InputError when |c| overflows or
+    kappa is too large for Wood's b to stay positive.
     """
     c = np.asarray(c, dtype=np.float64)
     m = c.shape[0]
@@ -183,6 +184,8 @@ def mf_vector(c: np.ndarray, rng: np.random.Generator,
         q = m - others.shape[1]
         c = _project_off(c, others)
     kappa = float(np.linalg.norm(c))
+    if not math.isfinite(kappa):
+        raise InputError(f"von Mises-Fisher parameter norm {kappa} is not finite")
     if q == 1:
         if others is None:
             n = np.ones(1)
@@ -202,6 +205,9 @@ def mf_vector(c: np.ndarray, rng: np.random.Generator,
     # kappa (t - x0) + (q-1) log((1 - x0 t)/(1 - x0^2)) >= log U with
     # x0 = (1-b)/(1+b), i.e. kappa (2b/(1+b) - (1-t)) + (q-1) log((1+b)/(2 den))
     b = (q - 1.0) / (2.0 * kappa + math.hypot(2.0 * kappa, q - 1.0))
+    if not b > 0.0:
+        raise InputError(f"von Mises-Fisher concentration {kappa:.3g} is too "
+                         "large for Wood's sampler in double precision")
     half = 0.5 * (q - 1.0)
     while True:
         zb = rng.beta(half, half)
@@ -245,17 +251,16 @@ def bingham_spectral(lam: np.ndarray, rng: np.random.Generator,
     exp(-u) (1 + 2u/b)^{q/2} <= exp(-(q-b)/2) (q/b)^{q/2} holds for every
     b > 0 and u > -b/2, so the draws are exact for any b and any t for
     which that precision is positive definite; b and t only set the
-    acceptance rate. b solves sum_i 1/(b + 2*mu_i) = 1 for a spectrum mu
-    with minimum 0 (Newton's method, see ``_acg_envelope_parameter``).
+    acceptance rate. b solves sum_i 1/(b + 2*lam_hat_i) = 1 (Newton's
+    method, see ``_acg_envelope_parameter``), with or without `others`.
 
-    Without `others`, mu = lam_hat, t = 0 and each proposal takes one
-    ``standard_normal(q)`` and one ``random()``. Given `others`, mu
-    approximates the complement's spectrum
-    (``_complement_envelope_parameter``), x is drawn on R^n and
-    conditioned on others'x = 0 by kriging, and t is the smallest value of
-    s on the complement (``_complement_floor``) when the other columns
-    hold the top of the spectrum, else 0; entries with precision below 1
-    then enter through a rank-l correction (see ``_kriged_proposal``).
+    Without `others`, t = 0 and each proposal takes one
+    ``standard_normal(q)`` and one ``random()``. Given `others`, x is
+    drawn on R^n and conditioned on others'x = 0 by kriging, and t is the
+    smallest value of s on the complement (``_complement_floor``) when the
+    other columns hold the top of the spectrum, else 0; entries with
+    precision below 1 then enter through a rank-l correction (see
+    ``_kriged_proposal``).
     Each proposal takes one ``standard_normal(n + l)`` and one
     ``random()``. Raises InputError when the shift exceeds
     ``MAX_SHIFT_OVER_B`` times b, beyond which double precision cannot
@@ -269,13 +274,12 @@ def bingham_spectral(lam: np.ndarray, rng: np.random.Generator,
     lam_hat = np.max(lam) - lam
     if q == 1 or not lam_hat.any():
         return sample_sphere(n, rng, others)
+    b = _acg_envelope_parameter(lam_hat)
     if others is None:
-        b = _acg_envelope_parameter(lam_hat)
         t = 0.0
         scale = 1.0 / np.sqrt(1.0 + 2.0 * lam_hat / b)
         extra = 0
     else:
-        b = _complement_envelope_parameter(lam_hat, others)
         t = _complement_floor(lam_hat, others, b)
         if t > MAX_SHIFT_OVER_B * b:
             raise InputError(
@@ -303,21 +307,6 @@ def bingham_spectral(lam: np.ndarray, rng: np.random.Generator,
                 return x / math.sqrt(nrm2)
             x = _project_off(x, others)
             return x / np.linalg.norm(x)
-
-
-def _complement_envelope_parameter(lam_hat: np.ndarray,
-                                   others: np.ndarray) -> float:
-    """b for the envelope on the complement of `others`: the root of
-    ``_acg_envelope_parameter`` for lam_hat without the k entries whose
-    axes lie most inside the span of the k columns, shifted to its minimum.
-    That is the complement's own spectrum, shifted to its floor, when the
-    columns are coordinate axes, and close to it when they hold the top of
-    the spectrum, where the root for all of lam_hat is far too small."""
-    k = others.shape[1]
-    inside = np.einsum("ij,ij->i", others, others)
-    kept = lam_hat[np.argpartition(inside, lam_hat.shape[0] - k)[:-k]]
-    kept = kept - kept.min()
-    return _acg_envelope_parameter(kept) if kept.any() else float(kept.shape[0])
 
 
 def _complement_floor(lam_hat: np.ndarray, others: np.ndarray,

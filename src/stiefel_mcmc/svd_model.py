@@ -113,7 +113,9 @@ def mle_init(y, rank: int) -> SvdModelState:
     """Maximum-likelihood starting state from the top-`rank` SVD of the data.
 
     sigma2 starts at the sample variance of the residuals and tau2 at the
-    mean squared retained singular value.
+    mean squared retained singular value. Raises InputError when the
+    rank-`rank` fit leaves no residual: sigma2 would start at 0, and the MF
+    parameters Y V D / sigma^2 would have no finite value.
     """
     ymat = _as_matrix(y)
     m, n = ymat.shape
@@ -125,8 +127,10 @@ def mle_init(y, rank: int) -> SvdModelState:
     d = ss[:rank].copy()
     resid = ymat - (u.entries * d) @ v.entries.T
     sigma2 = float(np.var(resid, ddof=1))
-    if sigma2 <= 0.0:
-        sigma2 = np.finfo(np.float64).tiny  # exact low-rank data
+    if not sigma2 > 0.0:
+        raise InputError(f"the rank-{rank} fit leaves no residual: the data "
+                         f"matrix has rank at most {rank}, so the noise "
+                         "variance has no positive starting value")
     return SvdModelState(U=u, V=v, d=d, sigma2=sigma2, tau2=float(np.mean(d**2)))
 
 
@@ -182,7 +186,6 @@ class SvdGibbsResult:
     d_trace: np.ndarray          # (saved, R), each row sorted decreasing
     m_posterior_mean: np.ndarray  # (m, n)
     saved_count: int
-    final_state: SvdModelState
 
 
 def run_svd_gibbs(y, rank: int, hyper: SvdHyperParams, iters: int, thin: int,
@@ -212,8 +215,7 @@ def run_svd_gibbs(y, rank: int, hyper: SvdHyperParams, iters: int, thin: int,
     saved = len(trace)
     return SvdGibbsResult(d_trace=np.array(trace),
                           m_posterior_mean=msum / saved,
-                          saved_count=saved,
-                          final_state=state)
+                          saved_count=saved)
 
 
 def rank_r_approximation(mat: np.ndarray, rank: int) -> np.ndarray:

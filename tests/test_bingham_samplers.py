@@ -199,6 +199,11 @@ class TestMatrixKernel:
         assert res.pvalue > 0.01
 
 
+# mean ACG proposals per column draw in the shifted-column case below: twice
+# the 7.49 measured with the envelope constant of the full spectrum
+PROPOSALS_PER_DRAW_BOUND = 15.0
+
+
 def _rotated(spectrum, rng):
     q = np.linalg.qr(rng.standard_normal((len(spectrum), len(spectrum))))[0]
     return q, (q * spectrum) @ q.T
@@ -261,6 +266,31 @@ class TestEigenbasisSweep:
                 state = sample_bingham_matrix_gibbs(a, b, state, rng)
                 assert frame_defect(state.entries) <= 1e-12
         assert not caplog.records
+
+    def test_shifted_columns_keep_their_acceptance_rate(self, deadline):
+        # spread 1e3 at n = 50 from the top eigenvectors: the second and
+        # third columns' complements miss the top of the spectrum, so their
+        # envelopes are shifted to the complement's floor; unshifted, a
+        # proposal is accepted with probability of order 1e-43. Each column
+        # draw calls standard_normal once per proposal, and the sweep draws
+        # nothing else from the stream.
+        rng = np.random.default_rng(35)
+        evecs, a = _rotated(np.linspace(0.0, 1e3, 50), rng)
+        state = OrthonormalFrame(evecs[:, :-4:-1])
+        proposals = 0
+
+        class CountingGenerator(np.random.Generator):
+            def standard_normal(self, *args, **kwargs):
+                nonlocal proposals
+                proposals += 1
+                return super().standard_normal(*args, **kwargs)
+
+        counting = CountingGenerator(rng.bit_generator)
+        with deadline(30.0):
+            for _ in range(200):
+                state = sample_bingham_matrix_gibbs(a, np.array([3.0, 2.0, 1.0]),
+                                                    state, counting)
+        assert proposals / 600 < PROPOSALS_PER_DRAW_BOUND
 
     def test_concentration_beyond_double_precision_raises(self):
         # a spectral floor 3e10 times the envelope constant leaves the

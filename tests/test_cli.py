@@ -1,5 +1,6 @@
 import json
 import logging
+import os
 import subprocess
 import sys
 
@@ -172,6 +173,30 @@ class TestSvdFit:
         assert run_cli("svd-fit", "--input", p, "--rank", 1, "--iters", 5,
                        "--thin", 5, "--out-dir", tmp_path / "fit") == 2
 
+    def test_infinite_values_in_y_rejected(self, tmp_path, capsys):
+        p = tmp_path / "Y.csv"
+        p.write_text("1,inf\n2,3\n")
+        assert run_cli("svd-fit", "--input", p, "--rank", 1, "--iters", 5,
+                       "--thin", 5, "--out-dir", tmp_path / "fit") == 2
+        assert "non-finite entries" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rows", ["1,0,0\n0,0,0\n0,0,0\n0,0,0\n",
+                                      "2,1,0\n4,2,0\n6,3,0\n8,4,0\n"],
+                             ids=["one_entry", "rank_one"])
+    def test_exactly_low_rank_y_rejected(self, tmp_path, rows):
+        # a rank-1 fit of rank-1 data leaves no residual; the noise variance
+        # used to start at the smallest double, and the first column draw
+        # either never returned or failed on non-finite MF parameters
+        p = tmp_path / "Y.csv"
+        p.write_text(rows)
+        proc = subprocess.run(
+            [sys.executable, "-m", "stiefel_mcmc.cli", "svd-fit",
+             "--input", str(p), "--rank", "1", "--iters", "10", "--thin", "5",
+             "--out-dir", str(tmp_path / "fit")],
+            capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2
+        assert "rank-1 fit leaves no residual" in proc.stderr
+
     def test_determinism(self, tmp_path):
         run_cli("svd-sim", "--m", 12, "--n", 8, "--rank-true", 2,
                 "--out-dir", tmp_path, "--seed", 2)
@@ -249,6 +274,27 @@ class TestChains:
         t0 = (tmp_path / "multi" / "chain_00" / "lambda_theta_trace.csv").read_bytes()
         t1 = (tmp_path / "multi" / "chain_01" / "lambda_theta_trace.csv").read_bytes()
         assert t0 != t1  # independent streams
+
+    def test_chain_workers_run_single_threaded_blas(self, tmp_path,
+                                                    monkeypatch):
+        # the workers see every BLAS thread variable at 1, and the parent's
+        # environment, set or unset, is as it was
+        monkeypatch.setenv("OMP_NUM_THREADS", "3")
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        before = dict(os.environ)
+        run_cli("svd-sim", "--m", 12, "--n", 8, "--rank-true", 2,
+                "--out-dir", tmp_path, "--seed", 3)
+        assert run_cli("svd-fit", "--input", tmp_path / "Y.csv", "--rank", 2,
+                       "--iters", 10, "--thin", 5, "--chains", 2, "--seed", 3,
+                       "--out-dir", tmp_path / "multi") == 0
+        assert dict(os.environ) == before
+        for k in (0, 1):
+            manifest = json.loads(
+                (tmp_path / "multi" / f"chain_{k:02d}" / "manifest.json").read_text())
+            assert manifest["blas_threads"] == {"OPENBLAS_NUM_THREADS": "1",
+                                                "OMP_NUM_THREADS": "1",
+                                                "MKL_NUM_THREADS": "1"}
 
     def test_chain_zero_matches_single_run(self, tmp_path, net_file):
         run_cli("eigen-fit", "--input", net_file, "--iters", 30, "--burn", 5,

@@ -5,6 +5,7 @@ import pytest
 from scipy.stats import norm
 
 from stiefel_mcmc import kernels
+from stiefel_mcmc.errors import InputError
 
 from oracles import acg_envelope_parameter_bisection
 
@@ -131,6 +132,16 @@ def test_mf_vector_returns_at_huge_concentration(kappa, q, deadline):
     for u in draws:
         assert abs(u @ u - 1.0) <= 1e-12
         assert u[-1] > 1.0 - 1e-6
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e308])
+def test_mf_vector_raises_when_the_norm_overflows(scale, deadline):
+    # |c| overflows to inf, so Wood's b is 0 and the acceptance test
+    # compared NaNs forever
+    c = np.zeros(3)
+    c[-1] = scale
+    with deadline(10.0), pytest.raises(InputError, match="not finite"):
+        kernels.mf_vector(c, np.random.default_rng(16))
 
 
 # sha256 prefixes of 200 draws per case, recorded from the kernel before it
