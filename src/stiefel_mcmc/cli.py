@@ -106,10 +106,9 @@ def _svd_fit_single(cfg, chain: int, out: Path) -> None:
     _log_chain_rate(chain, cfg.iters, time.perf_counter() - start)
     rank_r = svd_model.rank_r_approximation(result.m_posterior_mean, cfg.rank)
 
-    iters = np.arange(1, result.saved_count + 1) * cfg.thin
     csvio.write_trace(out / "d_trace.csv",
                       [f"d_{j + 1}" for j in range(cfg.rank)],
-                      iters, result.d_trace)
+                      result.saved_iters, result.d_trace)
     csvio.write_matrix(out / "M_post_mean.csv", result.m_posterior_mean)
     csvio.write_matrix(out / "M_rankR.csv", rank_r)
 
@@ -149,12 +148,10 @@ def _eigen_fit_single(cfg, chain: int, out: Path) -> None:
     positions, eigvals = eigenmodel.latent_positions(result.m_bar, cfg.rank)
     scaled = positions * np.sqrt(np.abs(eigvals))
 
-    saved_iters = [it for it in range(cfg.burn + 1, cfg.iters + 1)
-                   if it % cfg.thin == 0]
     trace_cols = np.column_stack([result.lambda_trace, result.theta_trace])
     csvio.write_trace(out / "lambda_theta_trace.csv",
                       [f"lambda_{j + 1}" for j in range(cfg.rank)] + ["theta"],
-                      saved_iters, trace_cols)
+                      result.saved_iters, trace_cols)
     csvio.write_matrix(out / "M_bar.csv", result.m_bar)
 
     header = (["node"] + [f"u_{j + 1}" for j in range(cfg.rank)]
@@ -184,8 +181,10 @@ def _fan_out(cfg, worker) -> int:
     parent. The parent's environment is restored once every worker has
     started.
     """
+    if cfg.chains < 1:
+        raise StiefelMcmcError("--chains must be a positive integer")
     out = _outdir(cfg)
-    if cfg.chains <= 1:
+    if cfg.chains == 1:
         worker(cfg, 0, out)
         return EXIT_OK
     csvio.write_manifest(out / "manifest.json", _manifest(cfg))

@@ -41,12 +41,13 @@ class SymmetricBinaryNetwork:
         codes = np.asarray(self.codes)
         if codes.ndim != 2 or codes.shape[0] != codes.shape[1]:
             raise DimensionError("adjacency must be a square matrix")
-        codes = codes.astype(np.int8, copy=True)
-        if not np.isin(codes, (-1, 0, 1)).all():
-            bad = np.argwhere(~np.isin(codes, (-1, 0, 1)))[0]
+        valid = np.isin(codes, (-1, 0, 1))
+        if not valid.all():
+            bad = np.argwhere(~valid)[0]
             raise InputError(
                 f"adjacency entries must be 0, 1 or missing; "
                 f"offending cell ({bad[0] + 1},{bad[1] + 1})")
+        codes = codes.astype(np.int8, copy=True)
         mismatch = np.argwhere(codes != codes.T)
         if mismatch.size:
             i, j = sorted(mismatch[0])
@@ -242,7 +243,11 @@ class EigenGibbsResult:
     lambda_trace: np.ndarray   # (saved, R), each row sorted increasing
     theta_trace: np.ndarray    # (saved,)
     m_bar: np.ndarray          # posterior mean of U Lambda U'
-    saved_count: int
+    saved_iters: np.ndarray    # (saved,), the iteration number of each row
+
+    @property
+    def saved_count(self) -> int:
+        return len(self.saved_iters)
 
 
 def run_eigenmodel_gibbs(y: SymmetricBinaryNetwork, hyper: EigenHyperParams,
@@ -250,8 +255,9 @@ def run_eigenmodel_gibbs(y: SymmetricBinaryNetwork, hyper: EigenHyperParams,
                          rng: np.random.Generator,
                          check_constraints: bool = False) -> EigenGibbsResult:
     """Run the Gibbs sampler: per iteration Z, theta, lambda, U in that
-    order; after `burn` iterations every `thin`-th state is recorded
-    (sorted lambda, theta, running sum of U Lambda U').
+    order; every iteration after `burn` that is a multiple of `thin` is
+    recorded (its number, sorted lambda, theta, running sum of
+    U Lambda U'). Raises InputError when that schedule records nothing.
 
     check_constraints=True re-validates the sign pattern of Z against the
     observed network every iteration (test mode).
@@ -259,8 +265,12 @@ def run_eigenmodel_gibbs(y: SymmetricBinaryNetwork, hyper: EigenHyperParams,
     if iters <= burn or burn < 0 or thin < 1:
         raise InputError(
             f"need iters > burn >= 0 and thin >= 1, got {iters}/{burn}/{thin}")
+    if iters // thin <= burn // thin:
+        raise InputError(
+            f"the schedule iters={iters}, burn={burn}, thin={thin} saves no "
+            f"draw: no multiple of {thin} lies in {burn + 1}..{iters}")
     state = initial_state(y, hyper, rng)
-    lam_rows, theta_vals = [], []
+    lam_rows, theta_vals, saved_iters = [], [], []
     msum = np.zeros((y.n, y.n))
     for it in range(1, iters + 1):
         z = sample_z_full_conditional(y, state.theta + state.factor_matrix(), rng)
@@ -273,12 +283,12 @@ def run_eigenmodel_gibbs(y: SymmetricBinaryNetwork, hyper: EigenHyperParams,
         if it > burn and it % thin == 0:
             lam_rows.append(np.sort(state.lam))
             theta_vals.append(state.theta)
+            saved_iters.append(it)
             msum += state.factor_matrix()
-    saved = len(lam_rows)
     return EigenGibbsResult(lambda_trace=np.array(lam_rows),
                             theta_trace=np.array(theta_vals),
-                            m_bar=msum / saved,
-                            saved_count=saved)
+                            m_bar=msum / len(saved_iters),
+                            saved_iters=np.array(saved_iters))
 
 
 def latent_positions(m_bar: np.ndarray, rank: int) -> tuple[np.ndarray, np.ndarray]:

@@ -15,7 +15,7 @@ import functools
 import math
 
 import numpy as np
-from scipy.special import ndtr, ndtri
+from scipy.special import log_ndtr, ndtri_exp
 
 from .errors import InputError
 
@@ -29,10 +29,6 @@ __all__ = [
     "truncnorm_left",
     "zfill_probit",
 ]
-
-# Beyond this many standard deviations the one-sided truncated normal
-# switches from inverse-CDF to an exponential-envelope rejection sampler.
-TAIL_SPLIT = 5.0
 
 # Newton's method for the ACG envelope constant took at most 10 steps
 # from b = 1 over random spectra with q up to 500; reaching this bound
@@ -77,25 +73,26 @@ def _project_off(x: np.ndarray, others: np.ndarray) -> np.ndarray:
     return x - others @ (others.T @ x)
 
 
-def truncnorm_left(a: float, rng: np.random.Generator) -> float:
-    """Draw x ~ N(0,1) conditioned on x > a; strict inequality guaranteed.
+def truncnorm_left(a, rng: np.random.Generator) -> np.ndarray:
+    """Draw x ~ N(0,1) conditioned on x > a, elementwise over the cuts
+    ``np.atleast_1d(a)``; a = -inf gives an unconstrained normal.
 
-    Inverse-CDF through the upper-tail probability for a <= 5 (the
-    product u * ndtr(-a) keeps full relative precision however far out
-    the cut is), exponential-envelope rejection (Robert 1995) beyond.
+    Inverse CDF in log space, x = -ndtri_exp(log1p(-U) + log_ndtr(-a)) with
+    U ~ U[0, 1): the log of the upper-tail probability keeps full relative
+    precision however far out the cut is, also past the point (a near 38)
+    where ndtr(-a) underflows. One ``random(len(a))``; entries that
+    rounding puts on or below the cut are redrawn, one ``random`` call per
+    pass, so x > a holds strictly. Raises InputError for a cut of +inf or
+    NaN, which no draw can satisfy.
     """
-    if a <= TAIL_SPLIT:
-        tail = ndtr(-a)
-        while True:
-            x = -ndtri(rng.random() * tail)
-            if x > a:
-                return float(x)
-    alpha = 0.5 * (a + np.sqrt(a * a + 4.0))
-    while True:
-        x = a + rng.standard_exponential() / alpha
-        diff = x - alpha
-        if rng.random() <= np.exp(-0.5 * diff * diff) and x > a:
-            return float(x)
+    a = np.atleast_1d(np.asarray(a, dtype=np.float64))
+    if not (a < np.inf).all():
+        raise InputError("truncation points must be below +inf and not NaN")
+    log_tail = log_ndtr(-a)
+    x = -ndtri_exp(np.log1p(-rng.random(a.shape)) + log_tail)
+    while (bad := x <= a).any():
+        x[bad] = -ndtri_exp(np.log1p(-rng.random(int(bad.sum()))) + log_tail[bad])
+    return x
 
 
 @functools.lru_cache(maxsize=16)
@@ -113,42 +110,20 @@ def zfill_probit(mean: np.ndarray, codes: np.ndarray,
     """Symmetric matrix of sign-constrained normals for probit augmentation.
 
     codes[i,j]: 1 -> z > 0, 0 -> z < 0, negative -> unconstrained. Off
-    diagonal entries are N(mean, 1) truncated accordingly and mirrored;
-    diagonal entries are unconstrained N(mean, 2) (they correspond to no
-    observation).
+    diagonal entries are N(mean, 1) truncated accordingly and mirrored:
+    z = mean + sign*x with x from one ``truncnorm_left`` call over the
+    upper triangle, sign = -1 where the code is 0 and +1 elsewhere, and
+    cut -sign*mean, or -inf where the code is missing. Diagonal entries
+    are unconstrained N(mean, 2) (they correspond to no observation).
     """
     n = mean.shape[0]
     z = np.empty((n, n))
     iu = triu_indices(n)
     mu = mean[iu]
     cc = codes[iu]
-    out = np.empty(mu.shape[0])
-
-    free = cc < 0
-    nfree = int(free.sum())
-    if nfree:
-        out[free] = mu[free] + rng.standard_normal(nfree)
-
-    con = ~free
-    ncon = int(con.sum())
-    if ncon:
-        sign = np.where(cc[con] == 1, 1.0, -1.0)
-        a = -sign * mu[con]  # constrained draw is z = mu + sign*x, x ~ N(0,1)|x>a
-        x = np.empty(ncon)
-        body = a <= TAIL_SPLIT
-        nbody = int(body.sum())
-        if nbody:
-            tail_prob = ndtr(-a[body])
-            x[body] = -ndtri(rng.random(nbody) * tail_prob)
-        for idx in np.nonzero(~body)[0]:
-            x[idx] = truncnorm_left(a[idx], rng)
-        # rounding at the boundary is the only way to land on the wrong
-        # side; redraw those entries one by one
-        bad = np.nonzero(x <= a)[0]
-        for idx in bad:
-            x[idx] = truncnorm_left(a[idx], rng)
-        out[con] = mu[con] + sign * x
-
+    sign = np.where(cc == 0, -1.0, 1.0)
+    a = np.where(cc < 0, -np.inf, -sign * mu)
+    out = mu + sign * truncnorm_left(a, rng)
     z[iu] = out
     z.T[iu] = out
     diag = np.einsum("ii->i", mean) + np.sqrt(2.0) * rng.standard_normal(n)

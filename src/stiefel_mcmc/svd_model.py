@@ -185,7 +185,11 @@ def update_variances(state: SvdModelState, y, hyper: SvdHyperParams,
 class SvdGibbsResult:
     d_trace: np.ndarray          # (saved, R), each row sorted decreasing
     m_posterior_mean: np.ndarray  # (m, n)
-    saved_count: int
+    saved_iters: np.ndarray      # (saved,), the iteration number of each row
+
+    @property
+    def saved_count(self) -> int:
+        return len(self.saved_iters)
 
 
 def run_svd_gibbs(y, rank: int, hyper: SvdHyperParams, iters: int, thin: int,
@@ -202,7 +206,7 @@ def run_svd_gibbs(y, rank: int, hyper: SvdHyperParams, iters: int, thin: int,
     if iters < 1 or thin < 1 or iters < thin:
         raise InputError(f"need iters >= thin >= 1, got iters={iters}, thin={thin}")
     state = mle_init(ymat, rank)
-    trace = []
+    trace, saved_iters = [], []
     msum = np.zeros_like(ymat)
     for it in range(1, iters + 1):
         state = update_u(state, ymat, rng)
@@ -211,11 +215,11 @@ def run_svd_gibbs(y, rank: int, hyper: SvdHyperParams, iters: int, thin: int,
         state = update_variances(state, ymat, hyper, rng)
         if it % thin == 0:
             trace.append(np.sort(np.abs(state.d))[::-1])
+            saved_iters.append(it)
             msum += state.mean_matrix()
-    saved = len(trace)
     return SvdGibbsResult(d_trace=np.array(trace),
-                          m_posterior_mean=msum / saved,
-                          saved_count=saved)
+                          m_posterior_mean=msum / len(saved_iters),
+                          saved_iters=np.array(saved_iters))
 
 
 def rank_r_approximation(mat: np.ndarray, rank: int) -> np.ndarray:

@@ -6,6 +6,7 @@ check.
 """
 import numpy as np
 from scipy import integrate
+from scipy.special import ndtr, ndtri
 
 
 def vmf_mean_resultant(kappa: float, m: int) -> float:
@@ -69,6 +70,25 @@ def acg_envelope_parameter_bisection(lam_hat: np.ndarray) -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def truncnorm_left_two_branch(a: float, rng: np.random.Generator) -> float:
+    """One draw of x ~ N(0,1) conditioned on x > a, by the scalar sampler
+    the one log-space inverse CDF replaced: inverse CDF through the
+    upper-tail probability for a <= 5, exponential-envelope rejection
+    (Robert 1995) beyond. The reference for a two-sample test."""
+    if a <= 5.0:
+        tail = ndtr(-a)
+        while True:
+            x = -ndtri(rng.random() * tail)
+            if x > a:
+                return float(x)
+    alpha = 0.5 * (a + np.sqrt(a * a + 4.0))
+    while True:
+        x = a + rng.standard_exponential() / alpha
+        diff = x - alpha
+        if rng.random() <= np.exp(-0.5 * diff * diff) and x > a:
+            return float(x)
 
 
 def mf_matrix_gibbs_qr(C: np.ndarray, U: np.ndarray,

@@ -262,6 +262,27 @@ class TestEigenFit:
         assert line.endswith(" iterations/s)")
 
 
+    def test_schedule_that_saves_no_draw_rejected(self, tmp_path, net_file,
+                                                  capsys, deadline):
+        # no multiple of 10 lies in 101..105: rejected before the chain runs
+        with deadline(10.0):
+            code = run_cli("eigen-fit", "--input", net_file, "--iters", 105,
+                           "--burn", 100, "--thin", 10,
+                           "--out-dir", tmp_path / "out")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "iters=105, burn=100, thin=10 saves no draw" in err
+        assert not (tmp_path / "out" / "lambda_theta_trace.csv").exists()
+
+    def test_trace_rows_are_the_saved_iterations(self, tmp_path, net_file):
+        assert run_cli("eigen-fit", "--input", net_file, "--iters", 40,
+                       "--burn", 7, "--thin", 4, "--seed", 4,
+                       "--out-dir", tmp_path / "out") == 0
+        trace = (tmp_path / "out" / "lambda_theta_trace.csv").read_text()
+        iters = [int(line.split(",")[0]) for line in trace.splitlines()[1:]]
+        assert iters == list(range(8, 41, 4))
+
+
 class TestChains:
     def test_parallel_chains_write_subdirs(self, tmp_path, net_file):
         assert run_cli("eigen-fit", "--input", net_file, "--iters", 30,
@@ -304,6 +325,15 @@ class TestChains:
                 "--thin", 5, "--seed", 8, "--out-dir", tmp_path / "single")
         assert ((tmp_path / "multi" / "chain_00" / "lambda_theta_trace.csv").read_bytes()
                 == (tmp_path / "single" / "lambda_theta_trace.csv").read_bytes())
+
+    @pytest.mark.parametrize("chains", [0, -2])
+    def test_nonpositive_chains_rejected(self, tmp_path, net_file, capsys,
+                                         chains):
+        assert run_cli("eigen-fit", "--input", net_file, "--iters", 20,
+                       "--burn", 5, "--thin", 5, "--chains", chains,
+                       "--out-dir", tmp_path / "out") == 2
+        assert "--chains must be a positive integer" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 def test_console_entry_point(tmp_path):

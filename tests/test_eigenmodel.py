@@ -25,6 +25,14 @@ class TestNetworkType:
         with pytest.raises(InputError):
             em.SymmetricBinaryNetwork(np.full((2, 2), 2, dtype=np.int8))
 
+    @pytest.mark.parametrize("value", [0.5, np.nan, 1.7, 257])
+    def test_rejects_values_before_casting(self, value):
+        # a cast to int8 first would turn these into 0, 0, 1 and 1
+        codes = np.zeros((3, 3))
+        codes[0, 1] = codes[1, 0] = value
+        with pytest.raises(InputError, match=r"offending cell \(1,2\)"):
+            em.SymmetricBinaryNetwork(codes)
+
     def test_from_dense_with_nan(self):
         y = np.array([[np.nan, 1.0, 0.0],
                       [1.0, np.nan, np.nan],
@@ -195,6 +203,25 @@ class TestRun:
         assert res.saved_count == 9  # s in {10, 15, ..., 50}
         assert res.lambda_trace.shape == (9, 2)
         assert res.theta_trace.shape == (9,)
+
+    def test_saved_iterations(self):
+        net, rng = small_net(14)
+        hyper = em.EigenHyperParams(t2_lambda=float(net.n), t2_theta=100.0,
+                                    rank=2)
+        res = em.run_eigenmodel_gibbs(net, hyper, iters=23, burn=6, thin=4,
+                                      rng=rng)
+        np.testing.assert_array_equal(res.saved_iters, [8, 12, 16, 20])
+        assert res.saved_count == 4
+
+    @pytest.mark.parametrize("schedule", [(105, 100, 10), (9, 0, 10)])
+    def test_schedule_that_saves_no_draw_rejected(self, schedule):
+        net, rng = small_net(14)
+        hyper = em.EigenHyperParams(t2_lambda=float(net.n), t2_theta=100.0,
+                                    rank=2)
+        iters, burn, thin = schedule
+        with pytest.raises(InputError, match="saves no draw"):
+            em.run_eigenmodel_gibbs(net, hyper, iters=iters, burn=burn,
+                                    thin=thin, rng=rng)
 
     def test_lambda_trace_sorted_ascending(self):
         net, rng = small_net(15)

@@ -2,12 +2,12 @@ import hashlib
 
 import numpy as np
 import pytest
-from scipy.stats import norm
+from scipy.stats import ks_2samp, norm
 
 from stiefel_mcmc import kernels
 from stiefel_mcmc.errors import InputError
 
-from oracles import acg_envelope_parameter_bisection
+from oracles import acg_envelope_parameter_bisection, truncnorm_left_two_branch
 
 # Test ids carry the implementation's name, e.g. ``[pure]``.
 KERNELS = pytest.mark.parametrize("mod", [kernels], ids=[kernels.BACKEND])
@@ -55,6 +55,89 @@ class TestZFill:
         diags = np.concatenate([np.diag(mod.zfill_probit(mean, codes, rng))
                                 for _ in range(6000)])
         assert diags.var() == pytest.approx(2.0, abs=0.06)
+
+
+@pytest.mark.parametrize("a", [-6.0, 0.0, 4.9, 5.5, 40.0])
+def test_truncnorm_left_matches_the_two_branch_sampler(a):
+    # one log-space inverse CDF against the inverse CDF below 5 and the
+    # exponential-envelope rejection tail above it
+    rng = np.random.default_rng(20)
+    draws = kernels.truncnorm_left(np.full(4000, a), rng)
+    reference = [truncnorm_left_two_branch(a, rng) for _ in range(4000)]
+    assert np.all(draws > a)
+    assert ks_2samp(draws, reference).pvalue > 1e-3
+
+
+def test_truncnorm_left_keeps_the_shape_of_its_cuts():
+    rng = np.random.default_rng(21)
+    assert kernels.truncnorm_left(1.0, rng).shape == (1,)
+    cuts = np.array([-np.inf, -2.0, 0.0, 38.5, 1e3, 1e6])
+    draws = kernels.truncnorm_left(cuts, rng)
+    assert draws.shape == cuts.shape
+    assert np.all(np.isfinite(draws)) and np.all(draws > cuts)
+
+
+@pytest.mark.parametrize("a", [np.inf, np.nan])
+def test_truncnorm_left_rejects_an_unsatisfiable_cut(a):
+    with pytest.raises(InputError, match="truncation points"):
+        kernels.truncnorm_left(np.array([0.0, a]), np.random.default_rng(22))
+
+
+class FirstUniformZero(np.random.Generator):
+    """A Generator whose first ``random()`` value is exactly 0.0."""
+
+    def __init__(self, seed):
+        super().__init__(np.random.PCG64(seed))
+        self.first = True
+
+    def random(self, size=None, *args, **kwargs):
+        out = super().random(size, *args, **kwargs)
+        if self.first:
+            self.first = False
+            if size is None:
+                return 0.0
+            out.flat[0] = 0.0
+        return out
+
+
+@pytest.mark.parametrize("a", [-np.inf, -3.0, 0.0, 4.9, 40.0])
+def test_truncnorm_left_survives_a_zero_uniform(a):
+    # U = 0 puts the inverse CDF on the cut (or at -inf for an
+    # unconstrained draw); the entry is redrawn, never returned as +inf
+    x = kernels.truncnorm_left(a, FirstUniformZero(23))
+    assert np.all(np.isfinite(x)) and np.all(x > a)
+
+
+def test_zfill_probit_survives_a_zero_uniform():
+    n = 6
+    codes = np.ones((n, n), dtype=np.int8)
+    codes[0, 2] = codes[2, 0] = 0
+    codes[1, 3] = codes[3, 1] = -1
+    np.fill_diagonal(codes, -1)
+    mean = np.full((n, n), 0.5)
+    z = kernels.zfill_probit(mean, codes, FirstUniformZero(24))
+    assert np.all(np.isfinite(z))
+    assert np.all(z[codes == 1] > 0) and np.all(z[codes == 0] < 0)
+
+
+def test_zfill_probit_holds_signs_against_large_means():
+    # |mean| up to 50 of both signs: cuts from -50 to 50, far past the
+    # point where the upper-tail probability underflows
+    rng = np.random.default_rng(25)
+    n = 16
+    codes = rng.integers(-1, 2, size=(n, n)).astype(np.int8)
+    codes = np.triu(codes, 1) + np.triu(codes, 1).T
+    np.fill_diagonal(codes, -1)
+    mean = rng.uniform(-50.0, 50.0, size=(n, n))
+    mean = np.triu(mean, 1) + np.triu(mean, 1).T
+    mean[0, 1] = mean[1, 0] = -50.0
+    mean[0, 2] = mean[2, 0] = 50.0
+    codes[0, 1] = codes[1, 0] = 1
+    codes[0, 2] = codes[2, 0] = 0
+    for _ in range(200):
+        z = kernels.zfill_probit(mean, codes, rng)
+        assert np.all(np.isfinite(z))
+        assert np.all(z[codes == 1] > 0) and np.all(z[codes == 0] < 0)
 
 
 @KERNELS

@@ -168,6 +168,14 @@ class TestRunAndEstimators:
         assert res.saved_count == 2
         assert res.d_trace.shape == (2, 3)
 
+    def test_saved_iterations(self):
+        rng = np.random.default_rng(14)
+        data, _ = sm.simulate_dataset(12, 9, 2, rng)
+        res = sm.run_svd_gibbs(data, 2, sm.SvdHyperParams(), iters=17, thin=4,
+                               rng=rng)
+        np.testing.assert_array_equal(res.saved_iters, [4, 8, 12, 16])
+        assert res.saved_count == 4
+
     def test_single_iteration_trace(self):
         rng = np.random.default_rng(15)
         data, _ = sm.simulate_dataset(10, 8, 2, rng)
