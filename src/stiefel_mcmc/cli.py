@@ -105,6 +105,17 @@ def _svd_fit_single(cfg, chain: int, out: Path) -> None:
     result = svd_model.run_svd_gibbs(y, cfg.rank, hyper, cfg.iters, cfg.thin, rng)
     _log_chain_rate(chain, cfg.iters, time.perf_counter() - start)
     rank_r = svd_model.rank_r_approximation(result.m_posterior_mean, cfg.rank)
+    # the truth is read after the chain, so that its parse does not delay
+    # the start, and checked before any output is written
+    m0 = None
+    if cfg.truth:
+        m0 = csvio.read_matrix(cfg.truth)
+        if m0.shape != y.shape:
+            raise StiefelMcmcError(f"{cfg.truth}: the truth has shape {m0.shape}, "
+                                   f"the data matrix {y.shape}")
+        if not np.isfinite(m0).all():
+            raise StiefelMcmcError(f"{cfg.truth}: the truth has missing or "
+                                   "non-finite entries")
 
     csvio.write_trace(out / "d_trace.csv",
                       [f"d_{j + 1}" for j in range(cfg.rank)],
@@ -112,8 +123,7 @@ def _svd_fit_single(cfg, chain: int, out: Path) -> None:
     csvio.write_matrix(out / "M_post_mean.csv", result.m_posterior_mean)
     csvio.write_matrix(out / "M_rankR.csv", rank_r)
 
-    if cfg.truth:
-        m0 = csvio.read_matrix(cfg.truth)
+    if m0 is not None:
         mle = svd_model.rank_r_approximation(y, cfg.rank)
         rows = [
             ("mse_mle", svd_model.mean_squared_error(m0, mle)),
@@ -187,7 +197,6 @@ def _fan_out(cfg, worker) -> int:
     if cfg.chains == 1:
         worker(cfg, 0, out)
         return EXIT_OK
-    csvio.write_manifest(out / "manifest.json", _manifest(cfg))
     subdirs = []
     for k in range(cfg.chains):
         sub = out / f"chain_{k:02d}"
@@ -209,6 +218,8 @@ def _fan_out(cfg, worker) -> int:
                     os.environ[k] = v
         for fut in futures:
             fut.result()
+    # written last, so that a run whose chain failed leaves no manifest
+    csvio.write_manifest(out / "manifest.json", _manifest(cfg))
     return EXIT_OK
 
 

@@ -29,18 +29,15 @@ def format_value(x) -> str:
     return repr(x)
 
 
-def _is_missing(tok: str) -> bool:
-    return tok.strip() in MISSING_TOKENS
-
-
 def _to_float(tok: str):
-    tok = tok.strip()
-    if _is_missing(tok):
-        return np.nan
+    """The value of a field: a float, NaN for a missing marker, None for
+    anything else. ``float`` strips surrounding whitespace and reads
+    ``nan`` and ``NaN`` itself, so the markers are looked up only for the
+    fields it refuses."""
     try:
         return float(tok)
     except ValueError:
-        return None
+        return np.nan if tok.strip() in MISSING_TOKENS else None
 
 
 def _read_rows(path) -> list[tuple[int, list[str]]]:

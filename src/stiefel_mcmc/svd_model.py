@@ -139,9 +139,10 @@ def mf_parameter_for_u(state: SvdModelState, y) -> np.ndarray:
     return _as_matrix(y) @ (state.V.entries * state.d) / state.sigma2
 
 
-def mf_parameter_for_v(state: SvdModelState, y) -> np.ndarray:
-    """Y' U D / sigma^2, the MF parameter of the V full conditional."""
-    return _as_matrix(y).T @ (state.U.entries * state.d) / state.sigma2
+def mf_parameter_for_v(state: SvdModelState, yu: np.ndarray) -> np.ndarray:
+    """Y' U D / sigma^2, the MF parameter of the V full conditional, from
+    the product yu = Y'U."""
+    return yu * state.d / state.sigma2
 
 
 def update_u(state: SvdModelState, y, rng: np.random.Generator) -> SvdModelState:
@@ -149,36 +150,81 @@ def update_u(state: SvdModelState, y, rng: np.random.Generator) -> SvdModelState
     return replace(state, U=new_u)
 
 
-def update_v(state: SvdModelState, y, rng: np.random.Generator) -> SvdModelState:
-    new_v = sample_mf_matrix_gibbs(mf_parameter_for_v(state, y), state.V, rng)
+def update_v(state: SvdModelState, yu: np.ndarray,
+             rng: np.random.Generator) -> SvdModelState:
+    new_v = sample_mf_matrix_gibbs(mf_parameter_for_v(state, yu), state.V, rng)
     return replace(state, V=new_v)
 
 
-def d_conditional_moments(state: SvdModelState, y) -> tuple[np.ndarray, float]:
-    """Mean vector and (common) variance of the d_j full conditionals."""
-    ymat = _as_matrix(y)
-    quad = (state.U.entries * (ymat @ state.V.entries)).sum(0)  # u_j'Y v_j
+def _quadratic_forms(state: SvdModelState, yu: np.ndarray) -> np.ndarray:
+    # u_j'Y v_j, the column sums of (Y'U) o V
+    return (yu * state.V.entries).sum(0)
+
+
+def d_conditional_moments(state: SvdModelState,
+                          yu: np.ndarray) -> tuple[np.ndarray, float]:
+    """Mean vector and (common) variance of the d_j full conditionals,
+    from the product yu = Y'U."""
+    quad = _quadratic_forms(state, yu)
     var = state.tau2 * state.sigma2 / (state.tau2 + state.sigma2)
     mean = state.tau2 * quad / (state.sigma2 + state.tau2)
     return mean, float(var)
 
 
-def update_d(state: SvdModelState, y, rng: np.random.Generator) -> SvdModelState:
-    mean, var = d_conditional_moments(state, y)
+def update_d(state: SvdModelState, yu: np.ndarray,
+             rng: np.random.Generator) -> SvdModelState:
+    mean, var = d_conditional_moments(state, yu)
     d = rng.normal(mean, np.sqrt(var))
     return replace(state, d=d)
 
 
-def update_variances(state: SvdModelState, y, hyper: SvdHyperParams,
+# Below this fraction of |Y|^2 the residual is summed directly: the
+# product form's rounding, a small multiple of eps*|Y|^2, would exceed
+# about 1e-8 of it (docs/decisions.md).
+DIRECT_RESIDUAL_FRACTION = 1e-7
+
+
+def residual_sum_of_squares(state: SvdModelState, y, yu: np.ndarray,
+                            y_sq: float) -> float:
+    """|Y - UDV'|^2 from the product yu = Y'U and y_sq = |Y|^2.
+
+    |Y|^2 - 2 d'q + d'[(U'U) o (V'V)]d with q_j = u_j'Y v_j; the Gram term
+    keeps it exact for frames that are orthonormal only to rounding. A
+    close fit, where the three terms cancel, falls back to the direct sum.
+    """
+    u, v, d = state.U.entries, state.V.entries, state.d
+    gram = (u.T @ u) * (v.T @ v)
+    resid2 = y_sq - 2.0 * float(d @ _quadratic_forms(state, yu)) + float(d @ gram @ d)
+    if resid2 < DIRECT_RESIDUAL_FRACTION * y_sq:
+        resid2 = float(np.sum((_as_matrix(y) - state.mean_matrix()) ** 2))
+    return resid2
+
+
+def update_variances(state: SvdModelState, y, yu: np.ndarray, y_sq: float,
+                     hyper: SvdHyperParams,
                      rng: np.random.Generator) -> SvdModelState:
-    ymat = _as_matrix(y)
-    m, n = ymat.shape
-    resid2 = float(np.sum((ymat - state.mean_matrix()) ** 2))
+    m, n = _as_matrix(y).shape
+    resid2 = residual_sum_of_squares(state, y, yu, y_sq)
     sigma2 = 1.0 / rng.gamma((hyper.nu0 + m * n) / 2.0,
                              2.0 / (hyper.nu0 * hyper.s20 + resid2))
     tau2 = 1.0 / rng.gamma((hyper.eta0 + state.rank) / 2.0,
                            2.0 / (hyper.eta0 * hyper.t20 + float(np.sum(state.d**2))))
     return replace(state, sigma2=float(sigma2), tau2=float(tau2))
+
+
+def gibbs_iteration(state: SvdModelState, y, y_sq: float, hyper: SvdHyperParams,
+                    rng: np.random.Generator) -> SvdModelState:
+    """One Gibbs iteration in the order U, V, d, sigma^2, tau^2.
+
+    Y is read by two products: Y V D / sigma^2 for the U update, and
+    Y'U, formed once after it, for everything else. y_sq is |Y|^2.
+    """
+    ymat = _as_matrix(y)
+    state = update_u(state, ymat, rng)
+    yu = ymat.T @ state.U.entries
+    state = update_v(state, yu, rng)
+    state = update_d(state, yu, rng)
+    return update_variances(state, ymat, yu, y_sq, hyper, rng)
 
 
 @dataclass(frozen=True)
@@ -192,31 +238,46 @@ class SvdGibbsResult:
         return len(self.saved_iters)
 
 
+# Saved draws stacked into one product of the posterior-mean sum: about
+# this many columns of U diag(d) and V per block.
+MEAN_BLOCK_COLUMNS = 64
+
+
 def run_svd_gibbs(y, rank: int, hyper: SvdHyperParams, iters: int, thin: int,
                   rng: np.random.Generator) -> SvdGibbsResult:
     """Run the Gibbs sampler from the MLE start.
 
     Update order per iteration: U, V, d, sigma^2, tau^2. Every `thin`-th
     iteration the sorted absolute singular values are recorded and
-    U diag(d) V' is accumulated into the posterior-mean estimate. d is
-    deliberately left unsorted inside the chain; sorting happens only in
-    the saved trace, anything else would change the target.
+    U diag(d) V' is accumulated into the posterior-mean estimate, K draws
+    at a time as one (m x KR)(KR x n) product. d is deliberately left
+    unsorted inside the chain; sorting happens only in the saved trace,
+    anything else would change the target.
     """
     ymat = _as_matrix(y)
     if iters < 1 or thin < 1 or iters < thin:
         raise InputError(f"need iters >= thin >= 1, got iters={iters}, thin={thin}")
     state = mle_init(ymat, rank)
+    y_sq = float(np.vdot(ymat, ymat))
+    block = max(1, MEAN_BLOCK_COLUMNS // rank) * rank
+    ud_cols = np.empty((ymat.shape[0], block))
+    v_cols = np.empty((ymat.shape[1], block))
+    filled = 0
     trace, saved_iters = [], []
     msum = np.zeros_like(ymat)
     for it in range(1, iters + 1):
-        state = update_u(state, ymat, rng)
-        state = update_v(state, ymat, rng)
-        state = update_d(state, ymat, rng)
-        state = update_variances(state, ymat, hyper, rng)
+        state = gibbs_iteration(state, ymat, y_sq, hyper, rng)
         if it % thin == 0:
             trace.append(np.sort(np.abs(state.d))[::-1])
             saved_iters.append(it)
-            msum += state.mean_matrix()
+            ud_cols[:, filled:filled + rank] = state.U.entries * state.d
+            v_cols[:, filled:filled + rank] = state.V.entries
+            filled += rank
+            if filled == block:
+                msum += ud_cols @ v_cols.T
+                filled = 0
+    if filled:
+        msum += ud_cols[:, :filled] @ v_cols[:, :filled].T
     return SvdGibbsResult(d_trace=np.array(trace),
                           m_posterior_mean=msum / len(saved_iters),
                           saved_iters=np.array(saved_iters))

@@ -130,6 +130,47 @@ def bingham_matrix_gibbs_qr(A: np.ndarray, b: np.ndarray, U: np.ndarray,
     return u
 
 
+def svd_iteration_direct(state, y: np.ndarray, hyper, rng: np.random.Generator):
+    """One Gibbs iteration of the SVD model, U, V, d, sigma^2, tau^2, with
+    every conditional read off Y directly: Y'UD for V, u_j'Y v_j through
+    Y V for d, and the m x n residual Y - UDV' for sigma^2. Same updates
+    and draw order as `svd_model.gibbs_iteration`, which reads Y only
+    through Y V D and Y'U; the reference for it."""
+    from stiefel_mcmc import sample_mf_matrix_gibbs
+    from stiefel_mcmc.svd_model import SvdModelState
+
+    m, n = y.shape
+    d, sigma2, tau2 = state.d, state.sigma2, state.tau2
+    u = sample_mf_matrix_gibbs(y @ (state.V.entries * d) / sigma2, state.U, rng)
+    v = sample_mf_matrix_gibbs(y.T @ (u.entries * d) / sigma2, state.V, rng)
+    quad = (u.entries * (y @ v.entries)).sum(0)
+    d = rng.normal(tau2 * quad / (sigma2 + tau2),
+                   np.sqrt(tau2 * sigma2 / (tau2 + sigma2)))
+    resid2 = float(np.sum((y - (u.entries * d) @ v.entries.T) ** 2))
+    sigma2 = 1.0 / rng.gamma((hyper.nu0 + m * n) / 2.0,
+                             2.0 / (hyper.nu0 * hyper.s20 + resid2))
+    tau2 = 1.0 / rng.gamma((hyper.eta0 + len(d)) / 2.0,
+                           2.0 / (hyper.eta0 * hyper.t20 + float(np.sum(d**2))))
+    return SvdModelState(U=u, V=v, d=d, sigma2=float(sigma2), tau2=float(tau2))
+
+
+def svd_gibbs_direct(y: np.ndarray, rank: int, hyper, iters: int, thin: int,
+                     rng: np.random.Generator):
+    """`svd_model.run_svd_gibbs` by `svd_iteration_direct`, adding one
+    U diag(d) V' to the posterior-mean sum per saved draw.
+    Returns (d_trace, m_posterior_mean)."""
+    from stiefel_mcmc.svd_model import mle_init
+
+    state = mle_init(y, rank)
+    trace, msum = [], np.zeros_like(y)
+    for it in range(1, iters + 1):
+        state = svd_iteration_direct(state, y, hyper, rng)
+        if it % thin == 0:
+            trace.append(np.sort(np.abs(state.d))[::-1])
+            msum += state.mean_matrix()
+    return np.array(trace), msum / len(trace)
+
+
 # Frozen quadrature values (recomputed by test_oracle_self_check):
 VMF_M3_MEAN = {0.5: 0.1639534137, 2.0: 0.5373147207, 8.0: 0.8750002251}
 BINGHAM2_DIAG3 = 0.7980666194  # E[u1^2] for A=diag(3,0)

@@ -143,8 +143,9 @@ def test_criterion_6_full_conditional_moments():
                              V=random_uniform_frame(4, 2, rng),
                              d=np.array([2.0, 1.0]), sigma2=1.3, tau2=2.1)
     y = rng.standard_normal((5, 4))
-    mean, var = sm.d_conditional_moments(state, y)
-    draws = np.array([sm.update_d(state, y, rng).d for _ in range(100_000)])
+    yu = y.T @ state.U.entries
+    mean, var = sm.d_conditional_moments(state, yu)
+    draws = np.array([sm.update_d(state, yu, rng).d for _ in range(100_000)])
     se = np.sqrt(var / draws.shape[0])
     if not np.all(np.abs(draws.mean(axis=0) - mean) < 3 * se):
         failures.append("d_j mean")
@@ -177,14 +178,15 @@ def test_criterion_6_full_conditional_moments():
                           tau2=1.0)
     yy = st.mean_matrix()
     hyp = sm.SvdHyperParams(nu0=2.0, s20=1.0, eta0=3.0, t20=2.0)
-    sig = np.array([sm.update_variances(st, yy, hyp, rng).sigma2
+    yyu, yy_sq = yy.T @ u.entries, float(np.vdot(yy, yy))
+    sig = np.array([sm.update_variances(st, yy, yyu, yy_sq, hyp, rng).sigma2
                     for _ in range(100_000)])
     alpha, beta = (2.0 + 30) / 2.0, 1.0
     ig_mean = beta / (alpha - 1.0)
     ig_var = beta**2 / ((alpha - 1.0) ** 2 * (alpha - 2.0))
     if abs(sig.mean() - ig_mean) >= 3 * np.sqrt(ig_var / sig.size):
         failures.append("sigma2 mean")
-    tau = np.array([sm.update_variances(st, yy, hyp, rng).tau2
+    tau = np.array([sm.update_variances(st, yy, yyu, yy_sq, hyp, rng).tau2
                     for _ in range(100_000)])
     alpha_t = (3.0 + 2) / 2.0
     beta_t = (3.0 * 2.0 + 10.0) / 2.0

@@ -66,6 +66,17 @@ class TestParsers:
         mat = csvio.read_matrix(p)
         assert np.isnan(mat[0, 1])
 
+    @pytest.mark.parametrize("tok,value", [
+        ("", np.nan), ("  ", np.nan), (" NA ", np.nan), ("nan", np.nan),
+        ("NaN", np.nan), ("NAN", np.nan), ("inf", np.inf), ("-0.0", -0.0),
+        ("1_000", 1000.0), (" 2.5 ", 2.5), ("0x10", None), ("N A", None)])
+    def test_field_token_values(self, tok, value):
+        # assert_equal holds NaN equal to NaN and tells -0.0 from 0.0
+        if value is None:
+            assert csvio._to_float(tok) is None
+        else:
+            np.testing.assert_equal(csvio._to_float(tok), value)
+
     def test_covariate_row_count_checked(self, tmp_path):
         p = tmp_path / "x.csv"
         p.write_text("drug,smoke\n1,0\n0,1\n")
@@ -196,6 +207,25 @@ class TestSvdFit:
             capture_output=True, text=True, timeout=60)
         assert proc.returncode == 2
         assert "rank-1 fit leaves no residual" in proc.stderr
+
+    @pytest.mark.parametrize("fault,chains", [("shape", 1), ("missing", 1),
+                                              ("shape", 2)])
+    def test_bad_truth_rejected_before_any_output(self, tmp_path, capsys, fault,
+                                                  chains):
+        run_cli("svd-sim", "--m", 12, "--n", 8, "--rank-true", 2,
+                "--out-dir", tmp_path, "--seed", 1)
+        m0 = csvio.read_matrix(tmp_path / "M0.csv")
+        if fault == "shape":
+            m0 = m0[:, :7]
+        else:
+            m0[3, 4] = np.nan
+        truth = tmp_path / "bad_truth.csv"
+        csvio.write_matrix(truth, m0)
+        assert run_cli("svd-fit", "--input", tmp_path / "Y.csv", "--truth", truth,
+                       "--rank", 2, "--iters", 5, "--thin", 5, "--chains", chains,
+                       "--out-dir", tmp_path / "fit", "--seed", 1) == 2
+        assert "bad_truth.csv" in capsys.readouterr().err
+        assert [p for p in (tmp_path / "fit").rglob("*") if p.is_file()] == []
 
     def test_determinism(self, tmp_path):
         run_cli("svd-sim", "--m", 12, "--n", 8, "--rank-true", 2,

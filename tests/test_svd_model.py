@@ -5,6 +5,8 @@ from stiefel_mcmc import DimensionError
 from stiefel_mcmc import svd_model as sm
 from stiefel_mcmc.frames import OrthonormalFrame, frame_defect, random_uniform_frame
 
+from oracles import svd_gibbs_direct, svd_iteration_direct
+
 
 def make_state(m=4, n=3, r=2, seed=0, sigma2=1.0, tau2=1.0):
     rng = np.random.default_rng(seed)
@@ -84,13 +86,14 @@ class TestConditionals:
         np.testing.assert_allclose(sm.mf_parameter_for_u(state, y), expected,
                                    atol=1e-14)
         expected_v = y.T @ state.U.entries @ np.diag(state.d) / 0.5
-        np.testing.assert_allclose(sm.mf_parameter_for_v(state, y), expected_v,
+        np.testing.assert_allclose(sm.mf_parameter_for_v(state, y.T @ state.U.entries),
+                                   expected_v,
                                    atol=1e-14)
 
     def test_d_moments_unit_variances(self):
         state, _ = make_state(seed=8, sigma2=1.0, tau2=1.0)
         y = np.arange(12.0).reshape(4, 3)
-        mean, var = sm.d_conditional_moments(state, y)
+        mean, var = sm.d_conditional_moments(state, y.T @ state.U.entries)
         quad = np.einsum("ij,ik,kj->j", state.U.entries, y, state.V.entries)
         np.testing.assert_allclose(mean, quad / 2.0, atol=1e-14)
         assert var == pytest.approx(0.5)
@@ -98,16 +101,16 @@ class TestConditionals:
     def test_d_moments_flat_prior_limit(self):
         state, _ = make_state(seed=9, sigma2=2.0, tau2=1e8)
         y = np.arange(12.0).reshape(4, 3)
-        mean, var = sm.d_conditional_moments(state, y)
+        mean, var = sm.d_conditional_moments(state, y.T @ state.U.entries)
         quad = np.einsum("ij,ik,kj->j", state.U.entries, y, state.V.entries)
         np.testing.assert_allclose(mean, quad, rtol=1e-6)
         assert var == pytest.approx(2.0, rel=1e-6)
 
     def test_update_d_monte_carlo(self):
         state, rng = make_state(seed=10, sigma2=1.3, tau2=2.1)
-        y = np.arange(12.0).reshape(4, 3) / 3.0
-        mean, var = sm.d_conditional_moments(state, y)
-        draws = np.array([sm.update_d(state, y, rng).d for _ in range(100_000)])
+        yu = (np.arange(12.0).reshape(4, 3) / 3.0).T @ state.U.entries
+        mean, var = sm.d_conditional_moments(state, yu)
+        draws = np.array([sm.update_d(state, yu, rng).d for _ in range(100_000)])
         se = np.sqrt(var / draws.shape[0])
         np.testing.assert_array_less(np.abs(draws.mean(axis=0) - mean), 3 * se)
         np.testing.assert_allclose(draws.var(axis=0), var, rtol=0.05)
@@ -132,7 +135,8 @@ class TestConditionals:
         state = sm.SvdModelState(U=u, V=v, d=d, sigma2=1.0, tau2=1.0)
         y = state.mean_matrix()
         hyper = sm.SvdHyperParams(nu0=2.0, s20=1.0, eta0=1.0, t20=1.0)
-        draws = np.array([sm.update_variances(state, y, hyper, rng).sigma2
+        yu, y_sq = y.T @ u.entries, float(np.vdot(y, y))
+        draws = np.array([sm.update_variances(state, y, yu, y_sq, hyper, rng).sigma2
                           for _ in range(100_000)])
         alpha = (2.0 + m * n) / 2.0
         beta = 1.0  # (nu0*s20 + 0)/2
@@ -149,7 +153,8 @@ class TestConditionals:
                                  sigma2=1.0, tau2=1.0)
         y = np.zeros((5, 4))
         hyper = sm.SvdHyperParams(eta0=3.0, t20=2.0)
-        draws = np.array([sm.update_variances(state, y, hyper, rng).tau2
+        yu, y_sq = y.T @ state.U.entries, float(np.vdot(y, y))
+        draws = np.array([sm.update_variances(state, y, yu, y_sq, hyper, rng).tau2
                           for _ in range(100_000)])
         alpha = (3.0 + 3) / 2.0
         beta = (3.0 * 2.0 + np.sum(state.d**2)) / 2.0
@@ -196,14 +201,44 @@ class TestRunAndEstimators:
         data, _ = sm.simulate_dataset(12, 10, 3, rng)
         state = sm.mle_init(data, 3)
         hyper = sm.SvdHyperParams()
+        y_sq = float(np.vdot(data.entries, data.entries))
         for _ in range(30):
-            state = sm.update_u(state, data, rng)
-            state = sm.update_v(state, data, rng)
-            state = sm.update_d(state, data, rng)
-            state = sm.update_variances(state, data, hyper, rng)
+            state = sm.gibbs_iteration(state, data, y_sq, hyper, rng)
             assert frame_defect(state.U.entries) <= 1e-10
             assert frame_defect(state.V.entries) <= 1e-10
             assert state.sigma2 > 0 and state.tau2 > 0
+
+    @pytest.mark.parametrize("thin,iters", [(1, 25), (3, 75)])
+    def test_matches_direct_oracle(self, thin, iters):
+        # 25 saved draws at R = 6: two full blocks of 10 draws and one of 5
+        data, _ = sm.simulate_dataset(60, 40, 4, np.random.default_rng(19))
+        hyper = sm.SvdHyperParams()
+        res = sm.run_svd_gibbs(data, 6, hyper, iters, thin,
+                               np.random.default_rng(20))
+        d_trace, m_mean = svd_gibbs_direct(data.entries, 6, hyper, iters, thin,
+                                           np.random.default_rng(20))
+        assert res.saved_count == 25
+        np.testing.assert_allclose(res.d_trace, d_trace, rtol=1e-9)
+        np.testing.assert_allclose(res.m_posterior_mean, m_mean, rtol=1e-9,
+                                   atol=1e-9 * np.abs(m_mean).max())
+
+    def test_close_fit_sums_the_residual_directly(self):
+        # rank-2 mean plus noise 1e-5: |Y|^2 / |Y - UDV'|^2 is about 3e10,
+        # where the product form of the residual is off by about 2e-5
+        rng = np.random.default_rng(21)
+        data, truth = sm.simulate_dataset(60, 40, 2, rng)
+        y = truth.mean_matrix() + 1e-5 * (data.entries - truth.mean_matrix())
+        y_sq = float(np.vdot(y, y))
+        # a weak prior on sigma^2, so that its draw follows the residual
+        hyper = sm.SvdHyperParams(s20=1e-12)
+        state = oracle = sm.mle_init(y, 2)
+        assert y_sq / np.sum((y - state.mean_matrix()) ** 2) > 1e10
+        rng, oracle_rng = np.random.default_rng(22), np.random.default_rng(22)
+        for _ in range(20):
+            state = sm.gibbs_iteration(state, y, y_sq, hyper, rng)
+            oracle = svd_iteration_direct(oracle, y, hyper, oracle_rng)
+            assert state.sigma2 == pytest.approx(oracle.sigma2, rel=1e-9, abs=0.0)
+            np.testing.assert_allclose(state.d, oracle.d, rtol=1e-9)
 
     def test_rank_r_approximation_diagonal(self):
         approx = sm.rank_r_approximation(np.diag([3.0, 2.0, 1.0]), 2)
@@ -245,10 +280,7 @@ def test_geweke_successive_conditional_keeps_prior(rank):
     out = np.empty((iters, 4 + rank))
     for it in range(iters):
         y = state.mean_matrix() + np.sqrt(state.sigma2) * rng.standard_normal((m, n))
-        state = sm.update_u(state, y, rng)
-        state = sm.update_v(state, y, rng)
-        state = sm.update_d(state, y, rng)
-        state = sm.update_variances(state, y, hyper, rng)
+        state = sm.gibbs_iteration(state, y, float(np.vdot(y, y)), hyper, rng)
         out[it, :4] = (1.0 / state.sigma2, 1.0 / state.tau2,
                        m * state.U.entries[0, 0] ** 2, n * state.V.entries[0, 0] ** 2)
         out[it, 4:] = state.d ** 2 / state.tau2
