@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import ndtri
 
 from . import kernels
 from .errors import ConstraintError, DimensionError, InputError
@@ -218,7 +217,11 @@ def update_u(state: EigenmodelState, rng: np.random.Generator) -> EigenmodelStat
 def initial_state(y: SymmetricBinaryNetwork, hyper: EigenHyperParams,
                   rng: np.random.Generator) -> EigenmodelState:
     """Naive start: theta at the probit of the observed edge density,
-    lambda = 0, U uniform; Z is drawn in the first sweep."""
+    lambda = 0, U uniform; Z is drawn in the first sweep. ``scipy.special``
+    is imported here and not with the module, like in
+    ``kernels.truncnorm_left``."""
+    from scipy.special import ndtri
+
     density = min(max(y.observed_edge_density(), 1.0 / (y.n * y.n)),
                   1.0 - 1.0 / (y.n * y.n))
     theta = float(ndtri(density))

@@ -15,7 +15,6 @@ import functools
 import math
 
 import numpy as np
-from scipy.special import log_ndtr, ndtri_exp
 
 from .errors import InputError
 
@@ -83,8 +82,11 @@ def truncnorm_left(a, rng: np.random.Generator) -> np.ndarray:
     where ndtr(-a) underflows. One ``random(len(a))``; entries that
     rounding puts on or below the cut are redrawn, one ``random`` call per
     pass, so x > a holds strictly. Raises InputError for a cut of +inf or
-    NaN, which no draw can satisfy.
+    NaN, which no draw can satisfy. ``scipy.special`` is imported here and
+    not with the module, so that the SVD model's path never loads it.
     """
+    from scipy.special import log_ndtr, ndtri_exp
+
     a = np.atleast_1d(np.asarray(a, dtype=np.float64))
     if not (a < np.inf).all():
         raise InputError("truncation points must be below +inf and not NaN")
@@ -226,16 +228,17 @@ def bingham_spectral(lam: np.ndarray, rng: np.random.Generator,
     exp(-u) (1 + 2u/b)^{q/2} <= exp(-(q-b)/2) (q/b)^{q/2} holds for every
     b > 0 and u > -b/2, so the draws are exact for any b and any t for
     which that precision is positive definite; b and t only set the
-    acceptance rate. b solves sum_i 1/(b + 2*lam_hat_i) = 1 (Newton's
-    method, see ``_acg_envelope_parameter``), with or without `others`.
+    acceptance rate. b solves sum_i 1/(b + 2*mu_i) = 1 for a spectrum mu
+    with minimum 0 (Newton's method, see ``_acg_envelope_parameter``).
 
-    Without `others`, t = 0 and each proposal takes one
-    ``standard_normal(q)`` and one ``random()``. Given `others`, x is
-    drawn on R^n and conditioned on others'x = 0 by kriging, and t is the
-    smallest value of s on the complement (``_complement_floor``) when the
-    other columns hold the top of the spectrum, else 0; entries with
-    precision below 1 then enter through a rank-l correction (see
-    ``_kriged_proposal``).
+    Without `others`, mu = lam_hat, t = 0 and each proposal takes one
+    ``standard_normal(q)`` and one ``random()``. Given `others`, mu
+    approximates the complement's spectrum
+    (``_complement_envelope_parameter``), x is drawn on R^n and
+    conditioned on others'x = 0 by kriging, and t is the smallest value of
+    s on the complement (``_complement_floor``) when the other columns
+    hold the top of the spectrum, else 0; entries with precision below 1
+    then enter through a rank-l correction (see ``_kriged_proposal``).
     Each proposal takes one ``standard_normal(n + l)`` and one
     ``random()``. Raises InputError when the shift exceeds
     ``MAX_SHIFT_OVER_B`` times b, beyond which double precision cannot
@@ -249,12 +252,13 @@ def bingham_spectral(lam: np.ndarray, rng: np.random.Generator,
     lam_hat = np.max(lam) - lam
     if q == 1 or not lam_hat.any():
         return sample_sphere(n, rng, others)
-    b = _acg_envelope_parameter(lam_hat)
     if others is None:
+        b = _acg_envelope_parameter(lam_hat)
         t = 0.0
         scale = 1.0 / np.sqrt(1.0 + 2.0 * lam_hat / b)
         extra = 0
     else:
+        b = _complement_envelope_parameter(lam_hat, others)
         t = _complement_floor(lam_hat, others, b)
         if t > MAX_SHIFT_OVER_B * b:
             raise InputError(
@@ -282,6 +286,22 @@ def bingham_spectral(lam: np.ndarray, rng: np.random.Generator,
                 return x / math.sqrt(nrm2)
             x = _project_off(x, others)
             return x / np.linalg.norm(x)
+
+
+def _complement_envelope_parameter(lam_hat: np.ndarray,
+                                   others: np.ndarray) -> float:
+    """b for the envelope on the complement of `others`: the root of
+    ``_acg_envelope_parameter`` for lam_hat without the k entries whose
+    axes lie most inside the span of the k columns, shifted to its minimum.
+    That is the complement's own spectrum, shifted to its floor, when the
+    columns are coordinate axes, and close to it when they hold most of the
+    top of the spectrum, where the root for all of lam_hat is far too
+    small: its zero entry is the axis the columns hold."""
+    k = others.shape[1]
+    inside = np.einsum("ij,ij->i", others, others)
+    kept = lam_hat[np.argpartition(inside, lam_hat.shape[0] - k)[:-k]]
+    kept = kept - kept.min()
+    return _acg_envelope_parameter(kept) if kept.any() else float(kept.shape[0])
 
 
 def _complement_floor(lam_hat: np.ndarray, others: np.ndarray,

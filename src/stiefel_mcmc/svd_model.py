@@ -68,35 +68,12 @@ class SvdModelState:
         return (self.U.entries * self.d) @ self.V.entries.T
 
 
-@dataclass(frozen=True)
-class DataMatrix:
-    """A fully observed m x n data matrix."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        entries = np.ascontiguousarray(self.entries, dtype=np.float64)
-        if entries.ndim != 2:
-            raise DimensionError("data matrix must be 2-d")
-        if not np.all(np.isfinite(entries)):
-            raise InputError("data matrix has non-finite entries")
-        object.__setattr__(self, "entries", entries)
-
-    @property
-    def m(self) -> int:
-        return self.entries.shape[0]
-
-    @property
-    def n(self) -> int:
-        return self.entries.shape[1]
-
-
 def _as_matrix(y) -> np.ndarray:
-    return y.entries if isinstance(y, DataMatrix) else np.asarray(y, dtype=np.float64)
+    return np.asarray(y, dtype=np.float64)
 
 
 def simulate_dataset(m: int, n: int, rank_true: int,
-                     rng: np.random.Generator) -> tuple[DataMatrix, SvdModelState]:
+                     rng: np.random.Generator) -> tuple[np.ndarray, SvdModelState]:
     """Draw ground truth and data: uniform frames, singular values from
     sorted exponential(1) draws scaled by sqrt(m*n), unit noise variance."""
     if not 1 <= rank_true <= min(m, n):
@@ -106,7 +83,7 @@ def simulate_dataset(m: int, n: int, rank_true: int,
     d0 = np.sort(rng.exponential(size=rank_true))[::-1] * np.sqrt(m * n)
     truth = SvdModelState(U=u0, V=v0, d=d0, sigma2=1.0, tau2=float(np.mean(d0**2)))
     y = truth.mean_matrix() + rng.standard_normal((m, n))
-    return DataMatrix(y), truth
+    return y, truth
 
 
 def mle_init(y, rank: int) -> SvdModelState:
@@ -232,6 +209,7 @@ class SvdGibbsResult:
     d_trace: np.ndarray          # (saved, R), each row sorted decreasing
     m_posterior_mean: np.ndarray  # (m, n)
     saved_iters: np.ndarray      # (saved,), the iteration number of each row
+    start: SvdModelState         # the MLE start; start.mean_matrix() is the rank-R MLE
 
     @property
     def saved_count(self) -> int:
@@ -245,7 +223,7 @@ MEAN_BLOCK_COLUMNS = 64
 
 def run_svd_gibbs(y, rank: int, hyper: SvdHyperParams, iters: int, thin: int,
                   rng: np.random.Generator) -> SvdGibbsResult:
-    """Run the Gibbs sampler from the MLE start.
+    """Run the Gibbs sampler from the MLE start, which the result keeps.
 
     Update order per iteration: U, V, d, sigma^2, tau^2. Every `thin`-th
     iteration the sorted absolute singular values are recorded and
@@ -257,7 +235,7 @@ def run_svd_gibbs(y, rank: int, hyper: SvdHyperParams, iters: int, thin: int,
     ymat = _as_matrix(y)
     if iters < 1 or thin < 1 or iters < thin:
         raise InputError(f"need iters >= thin >= 1, got iters={iters}, thin={thin}")
-    state = mle_init(ymat, rank)
+    state = start = mle_init(ymat, rank)
     y_sq = float(np.vdot(ymat, ymat))
     block = max(1, MEAN_BLOCK_COLUMNS // rank) * rank
     ud_cols = np.empty((ymat.shape[0], block))
@@ -280,7 +258,7 @@ def run_svd_gibbs(y, rank: int, hyper: SvdHyperParams, iters: int, thin: int,
         msum += ud_cols[:, :filled] @ v_cols[:, :filled].T
     return SvdGibbsResult(d_trace=np.array(trace),
                           m_posterior_mean=msum / len(saved_iters),
-                          saved_iters=np.array(saved_iters))
+                          saved_iters=np.array(saved_iters), start=start)
 
 
 def rank_r_approximation(mat: np.ndarray, rank: int) -> np.ndarray:

@@ -46,7 +46,7 @@ def svd_runs():
         res = sm.run_svd_gibbs(data, 6, sm.SvdHyperParams(), iters=2500,
                                thin=5, rng=rng)
         m0 = truth.mean_matrix()
-        mle_fit = sm.rank_r_approximation(data.entries, 6)
+        mle_fit = sm.rank_r_approximation(data, 6)
         rank_r = sm.rank_r_approximation(res.m_posterior_mean, 6)
         runs.append({
             "seed": seed,

@@ -200,7 +200,8 @@ class TestMatrixKernel:
 
 
 # mean ACG proposals per column draw in the shifted-column case below: twice
-# the 7.49 measured with the envelope constant of the full spectrum
+# the 7.40 measured with the envelope constant of the complement's spectrum
+# (7.49 with that of the full spectrum)
 PROPOSALS_PER_DRAW_BOUND = 15.0
 
 

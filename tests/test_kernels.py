@@ -274,6 +274,40 @@ def test_bingham_spectral_with_others_unit_and_orthogonal(n, k, scale, tilt,
             assert np.abs(others.T @ y).max() <= 1e-14
 
 
+class CountingNormals(np.random.Generator):
+    """Counts ``standard_normal`` calls: one per ACG proposal with `others`."""
+
+    calls = 0
+
+    def standard_normal(self, *args, **kwargs):
+        self.calls += 1
+        return super().standard_normal(*args, **kwargs)
+
+
+@pytest.mark.parametrize("held", [0.85, 0.9])
+def test_bingham_spectral_keeps_proposals_low_at_n200(held, deadline):
+    # n = 200, lam_hat = (0, 50..200) and one other column that holds the
+    # share `held` of the zero entry's axis: the complement misses most of
+    # the top of the spectrum, so its own spectrum is nearly flat. The root
+    # of the envelope equation for all of lam_hat (b about 8, set by the
+    # zero entry) took 39k-323k proposals per draw on such columns; the
+    # root for the complement (b about 86) takes about one.
+    n = 200
+    lam_hat = np.concatenate([[0.0], np.linspace(50.0, 200.0, n - 1)])
+    rng = np.random.default_rng(17)
+    w = rng.standard_normal(n)
+    w[0] = 0.0
+    w *= np.sqrt(1.0 - held) / np.linalg.norm(w)
+    w[0] = np.sqrt(held)
+    others = w[:, None]
+    counting = CountingNormals(np.random.PCG64(18))
+    with deadline(10.0):
+        for _ in range(20):
+            y = kernels.bingham_spectral(-lam_hat, counting, others)
+            assert abs(y @ y - 1.0) <= 1e-12 and abs(y @ w) <= 1e-14
+    assert counting.calls / 20 < 2.0
+
+
 @pytest.mark.parametrize("spacing", ["random", "even"])
 def test_complement_floor_bounds_the_restricted_minimum(spacing):
     # delta = smallest eigenvalue of diag(lam_hat) compressed to the

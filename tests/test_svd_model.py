@@ -20,7 +20,7 @@ class TestSimulate:
     def test_shapes_and_rank(self):
         rng = np.random.default_rng(1)
         data, truth = sm.simulate_dataset(60, 40, 4, rng)
-        assert data.entries.shape == (60, 40)
+        assert data.shape == (60, 40)
         sv = np.linalg.svd(truth.mean_matrix(), compute_uv=False)
         assert np.sum(sv > 1e-8) == 4
 
@@ -35,7 +35,7 @@ class TestSimulate:
         vals = []
         for _ in range(5):
             data, truth = sm.simulate_dataset(60, 40, 4, rng)
-            vals.append(np.mean((data.entries - truth.mean_matrix()) ** 2))
+            vals.append(np.mean((data - truth.mean_matrix()) ** 2))
         assert np.mean(vals) == pytest.approx(1.0, abs=0.05)
 
     def test_rank_too_large(self):
@@ -201,12 +201,23 @@ class TestRunAndEstimators:
         data, _ = sm.simulate_dataset(12, 10, 3, rng)
         state = sm.mle_init(data, 3)
         hyper = sm.SvdHyperParams()
-        y_sq = float(np.vdot(data.entries, data.entries))
+        y_sq = float(np.vdot(data, data))
         for _ in range(30):
             state = sm.gibbs_iteration(state, data, y_sq, hyper, rng)
             assert frame_defect(state.U.entries) <= 1e-10
             assert frame_defect(state.V.entries) <= 1e-10
             assert state.sigma2 > 0 and state.tau2 > 0
+
+    def test_result_keeps_the_mle_start(self):
+        # svd-fit reports the MLE's error from the start, without a second SVD
+        rng = np.random.default_rng(18)
+        data, _ = sm.simulate_dataset(30, 20, 3, rng)
+        res = sm.run_svd_gibbs(data, 4, sm.SvdHyperParams(), iters=5, thin=5,
+                               rng=rng)
+        mle = sm.rank_r_approximation(data, 4)
+        np.testing.assert_allclose(res.start.mean_matrix(), mle, rtol=0.0,
+                                   atol=1e-12 * np.abs(mle).max())
+        np.testing.assert_array_equal(res.start.d, sm.mle_init(data, 4).d)
 
     @pytest.mark.parametrize("thin,iters", [(1, 25), (3, 75)])
     def test_matches_direct_oracle(self, thin, iters):
@@ -215,7 +226,7 @@ class TestRunAndEstimators:
         hyper = sm.SvdHyperParams()
         res = sm.run_svd_gibbs(data, 6, hyper, iters, thin,
                                np.random.default_rng(20))
-        d_trace, m_mean = svd_gibbs_direct(data.entries, 6, hyper, iters, thin,
+        d_trace, m_mean = svd_gibbs_direct(data, 6, hyper, iters, thin,
                                            np.random.default_rng(20))
         assert res.saved_count == 25
         np.testing.assert_allclose(res.d_trace, d_trace, rtol=1e-9)
@@ -227,7 +238,7 @@ class TestRunAndEstimators:
         # where the product form of the residual is off by about 2e-5
         rng = np.random.default_rng(21)
         data, truth = sm.simulate_dataset(60, 40, 2, rng)
-        y = truth.mean_matrix() + 1e-5 * (data.entries - truth.mean_matrix())
+        y = truth.mean_matrix() + 1e-5 * (data - truth.mean_matrix())
         y_sq = float(np.vdot(y, y))
         # a weak prior on sigma^2, so that its draw follows the residual
         hyper = sm.SvdHyperParams(s20=1e-12)
