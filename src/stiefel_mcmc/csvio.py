@@ -2,8 +2,8 @@
 
 Conventions: comma separation, `NA` (or an empty field) for missing
 values, an optional header row that is auto-detected (a first row with
-any field that is neither numeric nor a missing marker). Files are read
-as UTF-8; a leading byte-order mark is dropped. All numeric output is
+no numeric field and some field that is not a missing marker). Files
+are read as UTF-8; a leading byte-order mark is dropped. All numeric output is
 written with shortest round-trip precision: the printed string parses
 back to the exact same double.
 """
@@ -67,10 +67,13 @@ def _read_rows(path) -> list[tuple[int, list[str]]]:
 
 
 def _split_header(rows):
-    """Detect and strip a header row: a first row with a field that is
-    neither numeric nor a missing marker."""
+    """Detect and strip a header row: a first row with no numeric field
+    and at least one field that is not a missing marker either. A first
+    row with a number in it is data, so a malformed field there fails with
+    its line number instead of taking the row away as a header."""
     first = rows[0][1]
-    if any(_to_float(tok) is None for tok in first):
+    vals = [_to_float(tok) for tok in first]
+    if None in vals and all(v is None or v != v for v in vals):
         return [tok.strip() for tok in first], rows[1:]
     return None, rows
 

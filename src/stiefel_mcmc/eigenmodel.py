@@ -18,7 +18,8 @@ B = lambda.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,9 +33,12 @@ MISSING = -1  # code for unobserved entries (includes the whole diagonal)
 
 @dataclass(frozen=True)
 class SymmetricBinaryNetwork:
-    """Adjacency codes: 1 edge, 0 non-edge, -1 missing; diagonal always -1."""
+    """Adjacency codes: 1 edge, 0 non-edge, -1 missing; diagonal always -1.
+    ``probit_codes`` holds what every Z fill reads of them, taken once."""
 
     codes: np.ndarray
+    probit_codes: kernels.ProbitCodes = field(init=False, repr=False,
+                                              compare=False)
 
     def __post_init__(self):
         codes = np.asarray(self.codes)
@@ -56,6 +60,7 @@ class SymmetricBinaryNetwork:
         np.fill_diagonal(codes, MISSING)
         codes.flags.writeable = False
         object.__setattr__(self, "codes", codes)
+        object.__setattr__(self, "probit_codes", kernels.ProbitCodes(codes))
 
     @classmethod
     def from_dense(cls, y) -> "SymmetricBinaryNetwork":
@@ -142,6 +147,15 @@ class EigenmodelState:
         object.__setattr__(self, "Z", z)
         object.__setattr__(self, "lam", lam)
 
+    def _with(self, **changes) -> "EigenmodelState":
+        """``dataclasses.replace`` for the Gibbs updates, without the
+        checks of ``__post_init__``: each update hands back a value of the
+        type and shape of the one it replaces, and ``replace`` with the
+        checks costs about 6 us, four times per iteration."""
+        new = object.__new__(EigenmodelState)
+        new.__dict__.update(self.__dict__, **changes)
+        return new
+
     def factor_matrix(self) -> np.ndarray:
         """U Lambda U', the latent low-rank part of the edge propensities."""
         return (self.U.entries * self.lam) @ self.U.entries.T
@@ -157,7 +171,7 @@ def sample_z_full_conditional(y: SymmetricBinaryNetwork, mean: np.ndarray,
     if mean.shape[0] != y.n:
         raise DimensionError(
             f"mean is {mean.shape}, expected ({y.n}, {y.n})")
-    return kernels.zfill_probit(mean, y.codes, rng)
+    return kernels.zfill_probit(mean, y.probit_codes, rng)
 
 
 def theta_conditional_moments(state: EigenmodelState,
@@ -166,19 +180,21 @@ def theta_conditional_moments(state: EigenmodelState,
     residuals R = Z - U Lambda U'. The n(n-1)/2 upper-triangle entries have
     variance 1 and the n diagonal entries variance 2, the same joint law
     the lambda, U and Z updates use, so the precision is
-    1/t2_theta + n^2/2 and the mean is var (sum_{i<j} r_ij + sum_i r_ii/2)."""
+    1/t2_theta + n^2/2 and the mean is var (sum_{i<j} r_ij + sum_i r_ii/2).
+    For symmetric Z that sum is half the sum of all of R, and the sum of
+    U Lambda U' is lambda . (U'1)^2, so the mean is
+    var (sum Z - lambda . (U'1)^2) / 2."""
     n = state.U.rows
-    resid = state.Z - state.factor_matrix()
-    iu = kernels.triu_indices(n)
     var = 1.0 / (1.0 / hyper.t2_theta + n * n / 2.0)
-    mean = var * (float(resid[iu].sum()) + 0.5 * float(np.trace(resid)))
-    return mean, var
+    colsum = state.U.entries.sum(axis=0)
+    total = float(state.Z.sum()) - float(state.lam @ (colsum * colsum))
+    return 0.5 * var * total, var
 
 
 def update_theta(state: EigenmodelState, hyper: EigenHyperParams,
                  rng: np.random.Generator) -> EigenmodelState:
     mean, var = theta_conditional_moments(state, hyper)
-    return replace(state, theta=float(rng.normal(mean, np.sqrt(var))))
+    return state._with(theta=float(rng.normal(mean, math.sqrt(var))))
 
 
 def lambda_conditional_moments(state: EigenmodelState,
@@ -190,17 +206,16 @@ def lambda_conditional_moments(state: EigenmodelState,
     precision 1/2; combining with the N(0, t2_lambda) prior gives
     variance v = 2 t2 / (2 + t2) and mean v (u_r'Eu_r) / 2.
     """
-    resid = state.Z - state.theta
     var = 2.0 * hyper.t2_lambda / (2.0 + hyper.t2_lambda)
     u = state.U.entries
-    quad = np.einsum("ir,ij,jr->r", u, resid, u)
+    quad = (u * ((state.Z - state.theta) @ u)).sum(axis=0)
     return var * quad / 2.0, float(var)
 
 
 def update_lambda(state: EigenmodelState, hyper: EigenHyperParams,
                   rng: np.random.Generator) -> EigenmodelState:
     mean, var = lambda_conditional_moments(state, hyper)
-    return replace(state, lam=rng.normal(mean, np.sqrt(var)))
+    return state._with(lam=rng.normal(mean, math.sqrt(var)))
 
 
 def bingham_parameter(state: EigenmodelState) -> np.ndarray:
@@ -211,7 +226,18 @@ def bingham_parameter(state: EigenmodelState) -> np.ndarray:
 def update_u(state: EigenmodelState, rng: np.random.Generator) -> EigenmodelState:
     new_u = sample_bingham_matrix_gibbs(bingham_parameter(state), state.lam,
                                         state.U, rng)
-    return replace(state, U=new_u)
+    return state._with(U=new_u)
+
+
+def gibbs_iteration(state: EigenmodelState, y: SymmetricBinaryNetwork,
+                    hyper: EigenHyperParams,
+                    rng: np.random.Generator) -> EigenmodelState:
+    """One Gibbs iteration given the network: Z, theta, lambda, U in that
+    order, each from its full conditional."""
+    z = sample_z_full_conditional(y, state.theta + state.factor_matrix(), rng)
+    state = update_theta(state._with(Z=z), hyper, rng)
+    state = update_lambda(state, hyper, rng)
+    return update_u(state, rng)
 
 
 def initial_state(y: SymmetricBinaryNetwork, hyper: EigenHyperParams,
@@ -257,8 +283,8 @@ def run_eigenmodel_gibbs(y: SymmetricBinaryNetwork, hyper: EigenHyperParams,
                          iters: int, burn: int, thin: int,
                          rng: np.random.Generator,
                          check_constraints: bool = False) -> EigenGibbsResult:
-    """Run the Gibbs sampler: per iteration Z, theta, lambda, U in that
-    order; every iteration after `burn` that is a multiple of `thin` is
+    """Run the Gibbs sampler, one ``gibbs_iteration`` per iteration; every
+    iteration after `burn` that is a multiple of `thin` is
     recorded (its number, sorted lambda, theta, running sum of
     U Lambda U'). Raises InputError when that schedule records nothing.
 
@@ -276,13 +302,9 @@ def run_eigenmodel_gibbs(y: SymmetricBinaryNetwork, hyper: EigenHyperParams,
     lam_rows, theta_vals, saved_iters = [], [], []
     msum = np.zeros((y.n, y.n))
     for it in range(1, iters + 1):
-        z = sample_z_full_conditional(y, state.theta + state.factor_matrix(), rng)
+        state = gibbs_iteration(state, y, hyper, rng)
         if check_constraints:
-            check_sign_constraints(y, z)
-        state = replace(state, Z=z)
-        state = update_theta(state, hyper, rng)
-        state = update_lambda(state, hyper, rng)
-        state = update_u(state, rng)
+            check_sign_constraints(y, state.Z)
         if it > burn and it % thin == 0:
             lam_rows.append(np.sort(state.lam))
             theta_vals.append(state.theta)

@@ -21,8 +21,9 @@ SYMMETRY_TOL = 1e-12
 def frame_defect(entries: np.ndarray) -> float:
     """max |U'U - I|, the orthonormality defect of a candidate frame."""
     entries = np.asarray(entries, dtype=np.float64)
-    r = entries.shape[1]
-    return float(np.max(np.abs(entries.T @ entries - np.eye(r))))
+    gram = entries.T @ entries
+    gram.flat[::entries.shape[1] + 1] -= 1.0
+    return float(np.abs(gram).max())
 
 
 def orthonormalize(entries: np.ndarray) -> np.ndarray:
@@ -39,10 +40,13 @@ def orthonormalize(entries: np.ndarray) -> np.ndarray:
 
 
 def require_symmetric(a: np.ndarray, tol: float = SYMMETRY_TOL, name: str = "A") -> np.ndarray:
+    """a as a float array, checked square with max |a - a'| <= tol. a - a'
+    is antisymmetric, so its largest entry is its largest absolute entry;
+    a non-finite entry of a leaves a NaN there and fails the check."""
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionError(f"{name} must be square, got shape {a.shape}")
-    if not np.all(np.abs(a - a.T) <= tol):
+    if not (a - a.T).max(initial=0.0) <= tol:
         raise ConstraintError(f"{name} is not symmetric within {tol}")
     return a
 
@@ -62,9 +66,10 @@ class OrthonormalFrame:
             raise DimensionError(f"frame dimensions must be positive, got {m}x{r}")
         if r > m:
             raise DimensionError(f"frame has more columns than rows ({m}x{r})")
-        if frame_defect(entries) > FRAME_TOL:
+        defect = frame_defect(entries)
+        if defect > FRAME_TOL:
             raise ConstraintError(
-                f"columns not orthonormal: max |U'U - I| = {frame_defect(entries):.3e} "
+                f"columns not orthonormal: max |U'U - I| = {defect:.3e} "
                 f"> {FRAME_TOL}")
         object.__setattr__(self, "entries", entries)
 

@@ -31,12 +31,13 @@ chain actually needs to move.
 """
 from __future__ import annotations
 
+import functools
 import logging
 
 import numpy as np
 
 from . import kernels
-from .errors import DimensionError, InputError
+from .errors import ConstraintError, DimensionError, InputError
 from .frames import (
     FRAME_TOL,
     OrthonormalFrame,
@@ -65,8 +66,6 @@ def sample_mf_vector(c: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 def sample_bingham_vector(A: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Exact draw from density prop-to exp(u'Au) on the unit sphere of R^m."""
     a = require_symmetric(A)
-    if not np.all(np.isfinite(a)):
-        raise InputError("A has non-finite entries")
     lam, evecs = np.linalg.eigh(a)
     y = kernels.bingham_spectral(lam, rng)
     u = evecs @ y
@@ -82,14 +81,38 @@ def _check_kernel_args(param: np.ndarray, current: OrthonormalFrame, name: str):
 
 def _ensure_frame(entries: np.ndarray) -> OrthonormalFrame:
     # repair drift instead of failing, and say so; sweeps only compose
-    # orthonormal pieces so this fires rarely even in very long runs
-    defect = frame_defect(entries)
-    if defect > FRAME_TOL:
+    # orthonormal pieces so this fires rarely even in very long runs. The
+    # frame's own check is the one defect computation of a sweep.
+    try:
+        return OrthonormalFrame(entries)
+    except ConstraintError:
         log.warning("frame drifted to max |U'U - I| = %.3e > %g; "
                     "re-orthonormalized the %dx%d frame",
-                    defect, FRAME_TOL, *entries.shape)
-        entries = orthonormalize(entries)
-    return OrthonormalFrame(entries)
+                    frame_defect(entries), FRAME_TOL, *entries.shape)
+        return OrthonormalFrame(orthonormalize(entries))
+
+
+@functools.lru_cache(maxsize=16)
+def _other_columns(r: int) -> tuple[np.ndarray, ...]:
+    """For each column j of an r-column frame, the indices of the other
+    columns, cached per r: indexing by them costs about a third of
+    ``np.delete``. Read-only, since every sweep shares them."""
+    rest = tuple(np.delete(np.arange(r), j) for j in range(r))
+    for idx in rest:
+        idx.flags.writeable = False
+    return rest
+
+
+def _sweep_columns(u: np.ndarray, draw) -> np.ndarray:
+    """Redraw the columns of u in place, in order: column j becomes
+    draw(j, others), others being the other columns as they stand (None
+    for a single column). The one column-update shape of both sweeps."""
+    if u.shape[1] == 1:
+        u[:, 0] = draw(0, None)
+        return u
+    for j, rest in enumerate(_other_columns(u.shape[1])):
+        u[:, j] = draw(j, u[:, rest])
+    return u
 
 
 def sample_mf_matrix_gibbs(C: np.ndarray,
@@ -107,11 +130,8 @@ def sample_mf_matrix_gibbs(C: np.ndarray,
     _check_kernel_args(c, current, "C")
     if not np.all(np.isfinite(c)):
         raise InputError("C has non-finite entries")
-    u = current.entries.copy()
-    r = u.shape[1]
-    for j in range(r):
-        others = np.delete(u, j, axis=1) if r > 1 else None
-        u[:, j] = kernels.mf_vector(c[:, j], rng, others)
+    u = _sweep_columns(current.entries.copy(),
+                       lambda j, others: kernels.mf_vector(c[:, j], rng, others))
     return _ensure_frame(u)
 
 
@@ -162,16 +182,16 @@ def sample_bingham_matrix_gibbs(A: np.ndarray,
     if bvec.shape != (current.cols,):
         raise DimensionError(
             f"b has shape {bvec.shape}, expected ({current.cols},)")
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(bvec))):
-        raise InputError("A or b has non-finite entries")
+    # a non-finite entry of A has already failed the symmetry check
+    if not np.isfinite(bvec).all():
+        raise InputError("b has non-finite entries")
 
     m = a.shape[0]
-    a = a - (np.trace(a) / m) * np.eye(m)
+    a = a.copy()
+    a.flat[::m + 1] -= a.trace() / m
 
     lam, evecs = np.linalg.eigh(a)
-    ut = evecs.T @ current.entries
-    r = ut.shape[1]
-    for j in range(r):
-        others = np.delete(ut, j, axis=1) if r > 1 else None
-        ut[:, j] = kernels.bingham_spectral(bvec[j] * lam, rng, others)
+    ut = _sweep_columns(
+        evecs.T @ current.entries,
+        lambda j, others: kernels.bingham_spectral(bvec[j] * lam, rng, others))
     return _ensure_frame(evecs @ ut)

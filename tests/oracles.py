@@ -171,6 +171,52 @@ def svd_gibbs_direct(y: np.ndarray, rank: int, hyper, iters: int, thin: int,
     return np.array(trace), msum / len(trace)
 
 
+def theta_moments_triangle(state, hyper) -> tuple[float, float]:
+    """(mean, variance) of theta | Z, U, lambda summed entry by entry over
+    the residual R = Z - U Lambda U': var (sum_{i<j} r_ij + sum_i r_ii/2)
+    with var = 1/(1/t2_theta + n^2/2). The reference for the closed form
+    of `eigenmodel.theta_conditional_moments`."""
+    n = state.U.rows
+    resid = state.Z - state.factor_matrix()
+    var = 1.0 / (1.0 / hyper.t2_theta + n * n / 2.0)
+    iu = np.triu_indices(n, 1)
+    return var * (float(resid[iu].sum()) + 0.5 * float(np.trace(resid))), var
+
+
+def lambda_moments_quadratic_forms(state, hyper) -> tuple[np.ndarray, float]:
+    """(means, variance) of lambda | Z, U, theta from the quadratic forms
+    u_r'(Z - theta)u_r taken one by one: v = 2 t2/(2 + t2), means
+    v u_r'(Z - theta)u_r / 2. The reference for
+    `eigenmodel.lambda_conditional_moments`."""
+    var = 2.0 * hyper.t2_lambda / (2.0 + hyper.t2_lambda)
+    u = state.U.entries
+    quad = np.einsum("ir,ij,jr->r", u, state.Z - state.theta, u)
+    return var * quad / 2.0, var
+
+
+def zfill_probit_per_call(mean: np.ndarray, codes: np.ndarray,
+                          rng: np.random.Generator) -> np.ndarray:
+    """The probit Z fill with the codes' signs and missing mask taken on
+    every call, through the triangle's index pairs: one
+    ``truncnorm_left`` call over the upper triangle, mirrored, then
+    ``standard_normal(n)`` for the N(mean, 2) diagonal. The reference for
+    `kernels.zfill_probit`, whose draws it must repeat bit for bit."""
+    from stiefel_mcmc.kernels import truncnorm_left
+
+    n = mean.shape[0]
+    z = np.empty((n, n))
+    iu = np.triu_indices(n, 1)
+    mu = mean[iu]
+    cc = codes[iu]
+    sign = np.where(cc == 0, -1.0, 1.0)
+    a = np.where(cc < 0, -np.inf, -sign * mu)
+    out = mu + sign * truncnorm_left(a, rng)
+    z[iu] = out
+    z.T[iu] = out
+    np.fill_diagonal(z, np.diag(mean) + np.sqrt(2.0) * rng.standard_normal(n))
+    return z
+
+
 # Frozen quadrature values (recomputed by test_oracle_self_check):
 VMF_M3_MEAN = {0.5: 0.1639534137, 2.0: 0.5373147207, 8.0: 0.8750002251}
 BINGHAM2_DIAG3 = 0.7980666194  # E[u1^2] for A=diag(3,0)

@@ -125,6 +125,22 @@ class TestParsers:
         net = csvio.parse_adjacency(p)
         assert net.n == 3 and net.codes[0, 1] == 1 and net.codes[0, 2] == 0
 
+    def test_malformed_number_in_the_first_row_is_a_parse_error(self, tmp_path):
+        # "1\x1c" is not a number, but "2" is: the row is data, not a
+        # header, and its bad field is reported instead of the row dropped
+        p = tmp_path / "m.csv"
+        p.write_text("1\x1c,2\n3,4\n")
+        with pytest.raises(ParseError, match=r"m\.csv:1: field 1 is not numeric"):
+            csvio.read_matrix(p)
+
+    def test_text_on_the_diagonal_of_the_first_row_keeps_the_row(self, tmp_path):
+        p = tmp_path / "a.csv"
+        p.write_text("x,1,0\n1,NA,1\n0,1,NA\n")
+        net = csvio.parse_adjacency(p)
+        assert net.n == 3
+        assert np.all(np.diag(net.codes) == -1)
+        assert net.codes[0, 1] == 1 and net.codes[0, 2] == 0
+
     def test_text_that_is_not_utf8_is_a_parse_error(self, tmp_path):
         p = tmp_path / "m.csv"
         p.write_bytes(b"1,2\n3,\xff\n")

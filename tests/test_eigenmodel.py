@@ -3,9 +3,15 @@ import pytest
 
 from stiefel_mcmc import ConstraintError, DimensionError, InputError
 from stiefel_mcmc import eigenmodel as em
+from stiefel_mcmc import kernels
 from stiefel_mcmc.frames import frame_defect, random_uniform_frame
 
-from oracles import HALF_NORMAL_MEAN
+from oracles import (
+    HALF_NORMAL_MEAN,
+    lambda_moments_quadratic_forms,
+    theta_moments_triangle,
+    zfill_probit_per_call,
+)
 
 
 def small_net(seed=0, n=12):
@@ -109,6 +115,42 @@ def fixed_state(n=10, r=2, seed=6, theta=0.4):
     z = rng.standard_normal((n, n))
     z = 0.5 * (z + z.T)
     return em.EigenmodelState(Z=z, U=u, lam=np.array([1.5, -0.5]), theta=theta), rng
+
+
+def random_state(n, r, rng):
+    z = rng.normal(0.3, 2.0, (n, n))
+    return em.EigenmodelState(Z=z + z.T, U=random_uniform_frame(n, r, rng),
+                              lam=rng.normal(0.0, 5.0, r),
+                              theta=float(rng.normal()))
+
+
+@pytest.mark.parametrize("n,r", [(2, 1), (5, 2), (12, 3), (50, 2)])
+def test_moments_match_the_entrywise_sums(n, r):
+    rng = np.random.default_rng(70 + n)
+    hyper = em.EigenHyperParams(t2_lambda=7.0, t2_theta=3.0, rank=r)
+    for _ in range(20):
+        state = random_state(n, r, rng)
+        np.testing.assert_allclose(em.theta_conditional_moments(state, hyper),
+                                   theta_moments_triangle(state, hyper), rtol=1e-12)
+        mean, var = em.lambda_conditional_moments(state, hyper)
+        ref_mean, ref_var = lambda_moments_quadratic_forms(state, hyper)
+        np.testing.assert_allclose(mean, ref_mean, rtol=1e-12)
+        assert var == ref_var
+
+
+def test_z_fill_draws_as_the_per_call_fill():
+    # the network's codes taken once, or a code matrix taken on the call,
+    # give the draws of the fill that reads the codes on every call
+    net, rng = small_net(71, n=9)
+    codes = net.codes.copy()
+    codes[0, 4] = codes[4, 0] = em.MISSING
+    net = em.SymmetricBinaryNetwork(codes)
+    mean = rng.normal(0.0, 3.0, (9, 9))
+    mean = mean + mean.T
+    ref = zfill_probit_per_call(mean, net.codes, np.random.default_rng(72))
+    for fill in (lambda g: em.sample_z_full_conditional(net, mean, g),
+                 lambda g: kernels.zfill_probit(mean, net.codes, g)):
+        assert fill(np.random.default_rng(72)).tobytes() == ref.tobytes()
 
 
 class TestThetaUpdate:
@@ -361,3 +403,42 @@ class TestGenerator:
         with pytest.raises(DimensionError):
             em.generate_network(0.0, np.array([1.0]), u,
                                 np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("rank", [1, 2])
+def test_geweke_successive_conditional_keeps_prior(rank):
+    # Geweke (2004): alternate y ~ p(y | theta, lambda, U), with three
+    # dyads held out as missing, and one Gibbs iteration (Z, theta, lambda,
+    # U) given y. The joint law of (Z, theta, lambda, U) is the stationary
+    # law of this chain, so the means of theta, theta^2, n u_11^2, lambda_r,
+    # lambda_r^2 and lambda_r u_r'(Z - theta)u_r must match 0, t2_theta, 1,
+    # 0, t2_lambda and t2_lambda within batch-means error (Z - theta =
+    # U Lambda U' + noise independent of lambda). A flipped sign in the Z
+    # fill, a theta update without Z's diagonal, or a wrong sign in
+    # lambda's quadratic forms each fail it.
+    n = 5
+    hyper = em.EigenHyperParams(t2_lambda=4.0, t2_theta=1.0, rank=rank)
+    rng = np.random.default_rng(60 + rank)
+    state = em.EigenmodelState(
+        Z=np.zeros((n, n)), U=random_uniform_frame(n, rank, rng),
+        lam=rng.normal(0.0, np.sqrt(hyper.t2_lambda), rank),
+        theta=float(rng.normal(0.0, np.sqrt(hyper.t2_theta))))
+    held = np.zeros((n, n), dtype=bool)
+    held[[0, 1, 2], [3, 4, 4]] = True
+    held |= held.T
+    iters, batches = 16_000, 50
+    out = np.empty((iters, 3 + 3 * rank))
+    for it in range(iters):
+        codes = em.generate_network(state.theta, state.lam, state.U, rng).codes.copy()
+        codes[held] = em.MISSING
+        state = em.gibbs_iteration(state, em.SymmetricBinaryNetwork(codes), hyper, rng)
+        u = state.U.entries
+        quad = (u * ((state.Z - state.theta) @ u)).sum(axis=0)
+        out[it, :3] = state.theta, state.theta ** 2, n * u[0, 0] ** 2
+        out[it, 3:] = np.concatenate([state.lam, state.lam ** 2, state.lam * quad])
+    prior = np.array([0.0, hyper.t2_theta, 1.0]
+                     + [0.0] * rank + [hyper.t2_lambda] * (2 * rank))
+    batch_means = out.reshape(batches, -1, out.shape[1]).mean(axis=1)
+    se = batch_means.std(axis=0, ddof=1) / np.sqrt(batches)
+    z = (out.mean(axis=0) - prior) / se
+    assert np.all(np.abs(z) < 4.0), z
