@@ -74,11 +74,9 @@ def _chain_manifest(cfg, chain: int, extra: dict) -> dict:
 
 
 def cmd_svd_sim(cfg) -> int:
-    if cfg.rank_true < 1:
-        raise StiefelMcmcError("--rank-true must be a positive integer")
-    out = _outdir(cfg)
     rng = derive_rng(cfg.seed, "svd-sim")
     y, truth = svd_model.simulate_dataset(cfg.m, cfg.n, cfg.rank_true, rng)
+    out = _outdir(cfg)
     csvio.write_matrix(out / "Y.csv", y)
     csvio.write_matrix(out / "M0.csv", truth.mean_matrix())
     csvio.write_matrix(out / "d0.csv", truth.d.reshape(1, -1))

@@ -13,8 +13,8 @@ carried by the augmentation). Priors: theta ~ N(0, t2_theta), lambda_r
 i.i.d. N(0, t2_lambda), U uniform on the manifold.
 
 Estimation is by Gibbs sampling on (Z, theta, lambda, U); the full
-conditional of U is the matrix Bingham family with A = (Z - theta)/2 and
-B = lambda.
+conditional of U is the matrix Bingham family etr(B U'AU) with A = Z - theta
+and B = diag(lambda)/2.
 """
 from __future__ import annotations
 
@@ -83,12 +83,10 @@ class SymmetricBinaryNetwork:
 
     def observed_edge_density(self) -> float:
         """Fraction of observed off-diagonal entries equal to 1 (0.5 if none)."""
-        iu = kernels.triu_indices(self.n)
-        vals = self.codes[iu]
-        obs = vals[vals >= 0]
-        if obs.size == 0:
+        sign = np.delete(self.probit_codes.sign, self.probit_codes.missing)
+        if sign.size == 0:
             return 0.5
-        return float(np.mean(obs))
+        return float(np.mean(sign > 0))
 
 
 @dataclass(frozen=True)
@@ -124,8 +122,9 @@ class EigenHyperParams:
     rank: int = 2
 
     def __post_init__(self):
-        if not (self.t2_lambda > 0 and self.t2_theta > 0):
-            raise InputError("t2_lambda and t2_theta must be strictly positive")
+        for name in ("t2_lambda", "t2_theta"):
+            if not 0 < getattr(self, name) < np.inf:
+                raise InputError(f"{name} must be finite and strictly positive")
         if self.rank < 1:
             raise InputError("rank must be a positive integer")
 
@@ -166,8 +165,7 @@ def sample_z_full_conditional(y: SymmetricBinaryNetwork, mean: np.ndarray,
     """Draw the latent matrix given constraints: off-diagonal entries are
     N(mean, 1) forced positive where y = 1 and negative where y = 0,
     unconstrained where missing; diagonal entries are N(mean, 2)."""
-    mean = require_symmetric(np.asarray(mean, dtype=np.float64),
-                             tol=1e-8, name="mean")
+    mean = require_symmetric(mean, tol=1e-8, name="mean")
     if mean.shape[0] != y.n:
         raise DimensionError(
             f"mean is {mean.shape}, expected ({y.n}, {y.n})")
@@ -218,13 +216,8 @@ def update_lambda(state: EigenmodelState, hyper: EigenHyperParams,
     return state._with(lam=rng.normal(mean, math.sqrt(var)))
 
 
-def bingham_parameter(state: EigenmodelState) -> np.ndarray:
-    """(Z - theta)/2, the A matrix of the U full conditional."""
-    return (state.Z - state.theta) / 2.0
-
-
 def update_u(state: EigenmodelState, rng: np.random.Generator) -> EigenmodelState:
-    new_u = sample_bingham_matrix_gibbs(bingham_parameter(state), state.lam,
+    new_u = sample_bingham_matrix_gibbs(state.Z - state.theta, state.lam / 2.0,
                                         state.U, rng)
     return state._with(U=new_u)
 
@@ -324,8 +317,7 @@ def latent_positions(m_bar: np.ndarray, rank: int) -> tuple[np.ndarray, np.ndarr
     each with its first nonzero coordinate made nonnegative so output is
     deterministic up to that convention.
     """
-    m_bar = require_symmetric(np.asarray(m_bar, dtype=np.float64),
-                              tol=1e-8, name="m_bar")
+    m_bar = require_symmetric(m_bar, tol=1e-8, name="m_bar")
     n = m_bar.shape[0]
     if not 1 <= rank <= n:
         raise DimensionError(f"need 1 <= rank <= n, got rank={rank}")

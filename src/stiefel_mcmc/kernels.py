@@ -18,7 +18,6 @@ BLAS and takes about four times as long over it.
 """
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -104,16 +103,6 @@ def truncnorm_left(a, rng: np.random.Generator) -> np.ndarray:
     return x
 
 
-@functools.lru_cache(maxsize=16)
-def triu_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """``np.triu_indices(n, 1)``, cached per n; the arrays are read-only
-    because every caller shares them."""
-    iu = np.triu_indices(n, 1)
-    for idx in iu:
-        idx.setflags(write=False)
-    return iu
-
-
 class ProbitCodes:
     """What ``zfill_probit`` reads of an n x n code matrix, taken once per
     network: the flat indices of the upper triangle (i < j) and of its
@@ -124,7 +113,7 @@ class ProbitCodes:
     def __init__(self, codes: np.ndarray):
         codes = np.asarray(codes)
         n = codes.shape[0]
-        i, j = triu_indices(n)
+        i, j = np.triu_indices(n, 1)
         upper = codes[i, j]
         self.n = n
         self.upper = i * n + j
@@ -134,20 +123,18 @@ class ProbitCodes:
         self.missing = np.flatnonzero(upper < 0)
 
 
-def zfill_probit(mean: np.ndarray, codes, rng: np.random.Generator) -> np.ndarray:
+def zfill_probit(mean: np.ndarray, codes: ProbitCodes,
+                 rng: np.random.Generator) -> np.ndarray:
     """Symmetric matrix of sign-constrained normals for probit augmentation.
 
-    codes[i,j]: 1 -> z > 0, 0 -> z < 0, negative -> unconstrained; `codes`
-    is the matrix or its ``ProbitCodes``, which a caller that fills the
-    same network again builds once. Off diagonal entries are N(mean, 1)
-    truncated accordingly and mirrored: z = mean + sign*x with x from one
-    ``truncnorm_left`` call over the upper triangle, sign = -1 where the
-    code is 0 and +1 elsewhere, and cut -sign*mean, or -inf where the code
-    is missing. Diagonal entries are unconstrained N(mean, 2) (they
-    correspond to no observation).
+    `codes` is the ``ProbitCodes`` of an n x n code matrix, taken once per
+    network: code 1 -> z > 0, 0 -> z < 0, negative -> unconstrained. Off
+    diagonal entries are N(mean, 1) truncated accordingly and mirrored:
+    z = mean + sign*x with x from one ``truncnorm_left`` call over the
+    upper triangle, sign = -1 where the code is 0 and +1 elsewhere, and
+    cut -sign*mean, or -inf where the code is missing. Diagonal entries are
+    unconstrained N(mean, 2) (they correspond to no observation).
     """
-    if not isinstance(codes, ProbitCodes):
-        codes = ProbitCodes(codes)
     n = codes.n
     mu = mean.take(codes.upper)
     cut = mu * codes.cut_sign

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import InputError
+
 # Fixed labels for derived streams. Never renumber: changing a label
 # changes every seeded output downstream.
 STREAM_LABELS = {
@@ -19,8 +21,11 @@ STREAM_LABELS = {
 
 
 def derive_rng(seed: int, label: str, chain: int = 0) -> np.random.Generator:
-    """Generator for stream `label`, chain index `chain`, under `seed`."""
+    """Generator for stream `label`, chain index `chain`, under `seed`.
+    Raises InputError for a negative seed."""
     if label not in STREAM_LABELS:
         raise KeyError(f"unknown stream label {label!r}")
+    if seed < 0:
+        raise InputError(f"seed must be a non-negative integer, got {seed}")
     ss = np.random.SeedSequence(seed, spawn_key=(STREAM_LABELS[label], chain))
     return np.random.Generator(np.random.PCG64(ss))

@@ -39,8 +39,8 @@ class SvdHyperParams:
 
     def __post_init__(self):
         for name in ("nu0", "s20", "eta0", "t20"):
-            if not getattr(self, name) > 0:
-                raise InputError(f"{name} must be strictly positive")
+            if not 0 < getattr(self, name) < np.inf:
+                raise InputError(f"{name} must be finite and strictly positive")
 
 
 @dataclass(frozen=True)
@@ -68,10 +68,6 @@ class SvdModelState:
         return (self.U.entries * self.d) @ self.V.entries.T
 
 
-def _as_matrix(y) -> np.ndarray:
-    return np.asarray(y, dtype=np.float64)
-
-
 def simulate_dataset(m: int, n: int, rank_true: int,
                      rng: np.random.Generator) -> tuple[np.ndarray, SvdModelState]:
     """Draw ground truth and data: uniform frames, singular values from
@@ -94,7 +90,7 @@ def mle_init(y, rank: int) -> SvdModelState:
     rank-`rank` fit leaves no residual: sigma2 would start at 0, and the MF
     parameters Y V D / sigma^2 would have no finite value.
     """
-    ymat = _as_matrix(y)
+    ymat = np.asarray(y, dtype=np.float64)
     m, n = ymat.shape
     if not 1 <= rank <= min(m, n):
         raise DimensionError(f"need 1 <= rank <= min(m, n), got rank={rank}")
@@ -111,9 +107,10 @@ def mle_init(y, rank: int) -> SvdModelState:
     return SvdModelState(U=u, V=v, d=d, sigma2=sigma2, tau2=float(np.mean(d**2)))
 
 
-def mf_parameter_for_u(state: SvdModelState, y) -> np.ndarray:
-    """Y V D / sigma^2, the MF parameter of the U full conditional."""
-    return _as_matrix(y) @ (state.V.entries * state.d) / state.sigma2
+def mf_parameter_for_u(state: SvdModelState, y: np.ndarray) -> np.ndarray:
+    """Y V D / sigma^2, the MF parameter of the U full conditional; y is
+    the data matrix as a float ndarray."""
+    return y @ (state.V.entries * state.d) / state.sigma2
 
 
 def mf_parameter_for_v(state: SvdModelState, yu: np.ndarray) -> np.ndarray:
@@ -122,7 +119,8 @@ def mf_parameter_for_v(state: SvdModelState, yu: np.ndarray) -> np.ndarray:
     return yu * state.d / state.sigma2
 
 
-def update_u(state: SvdModelState, y, rng: np.random.Generator) -> SvdModelState:
+def update_u(state: SvdModelState, y: np.ndarray,
+             rng: np.random.Generator) -> SvdModelState:
     new_u = sample_mf_matrix_gibbs(mf_parameter_for_u(state, y), state.U, rng)
     return replace(state, U=new_u)
 
@@ -161,9 +159,10 @@ def update_d(state: SvdModelState, yu: np.ndarray,
 DIRECT_RESIDUAL_FRACTION = 1e-7
 
 
-def residual_sum_of_squares(state: SvdModelState, y, yu: np.ndarray,
-                            y_sq: float) -> float:
-    """|Y - UDV'|^2 from the product yu = Y'U and y_sq = |Y|^2.
+def residual_sum_of_squares(state: SvdModelState, y: np.ndarray,
+                            yu: np.ndarray, y_sq: float) -> float:
+    """|Y - UDV'|^2 from the product yu = Y'U and y_sq = |Y|^2, y being
+    the data matrix as a float ndarray.
 
     |Y|^2 - 2 d'q + d'[(U'U) o (V'V)]d with q_j = u_j'Y v_j; the Gram term
     keeps it exact for frames that are orthonormal only to rounding. A
@@ -173,14 +172,16 @@ def residual_sum_of_squares(state: SvdModelState, y, yu: np.ndarray,
     gram = (u.T @ u) * (v.T @ v)
     resid2 = y_sq - 2.0 * float(d @ _quadratic_forms(state, yu)) + float(d @ gram @ d)
     if resid2 < DIRECT_RESIDUAL_FRACTION * y_sq:
-        resid2 = float(np.sum((_as_matrix(y) - state.mean_matrix()) ** 2))
+        resid2 = float(np.sum((y - state.mean_matrix()) ** 2))
     return resid2
 
 
-def update_variances(state: SvdModelState, y, yu: np.ndarray, y_sq: float,
-                     hyper: SvdHyperParams,
+def update_variances(state: SvdModelState, y: np.ndarray, yu: np.ndarray,
+                     y_sq: float, hyper: SvdHyperParams,
                      rng: np.random.Generator) -> SvdModelState:
-    m, n = _as_matrix(y).shape
+    """sigma^2 and tau^2 from their full conditionals; y is the data
+    matrix as a float ndarray."""
+    m, n = y.shape
     resid2 = residual_sum_of_squares(state, y, yu, y_sq)
     sigma2 = 1.0 / rng.gamma((hyper.nu0 + m * n) / 2.0,
                              2.0 / (hyper.nu0 * hyper.s20 + resid2))
@@ -189,19 +190,20 @@ def update_variances(state: SvdModelState, y, yu: np.ndarray, y_sq: float,
     return replace(state, sigma2=float(sigma2), tau2=float(tau2))
 
 
-def gibbs_iteration(state: SvdModelState, y, y_sq: float, hyper: SvdHyperParams,
+def gibbs_iteration(state: SvdModelState, y: np.ndarray, y_sq: float,
+                    hyper: SvdHyperParams,
                     rng: np.random.Generator) -> SvdModelState:
     """One Gibbs iteration in the order U, V, d, sigma^2, tau^2.
 
-    Y is read by two products: Y V D / sigma^2 for the U update, and
-    Y'U, formed once after it, for everything else. y_sq is |Y|^2.
+    y is the data matrix as a float ndarray, read by two products:
+    Y V D / sigma^2 for the U update, and Y'U, formed once after it, for
+    everything else. y_sq is |Y|^2.
     """
-    ymat = _as_matrix(y)
-    state = update_u(state, ymat, rng)
-    yu = ymat.T @ state.U.entries
+    state = update_u(state, y, rng)
+    yu = y.T @ state.U.entries
     state = update_v(state, yu, rng)
     state = update_d(state, yu, rng)
-    return update_variances(state, ymat, yu, y_sq, hyper, rng)
+    return update_variances(state, y, yu, y_sq, hyper, rng)
 
 
 @dataclass(frozen=True)
@@ -232,7 +234,7 @@ def run_svd_gibbs(y, rank: int, hyper: SvdHyperParams, iters: int, thin: int,
     unsorted inside the chain; sorting happens only in the saved trace,
     anything else would change the target.
     """
-    ymat = _as_matrix(y)
+    ymat = np.asarray(y, dtype=np.float64)
     if iters < 1 or thin < 1 or iters < thin:
         raise InputError(f"need iters >= thin >= 1, got iters={iters}, thin={thin}")
     state = start = mle_init(ymat, rank)

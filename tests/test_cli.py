@@ -208,6 +208,13 @@ class TestSvdSim:
     def test_zero_rank_rejected(self, tmp_path):
         assert run_cli("svd-sim", "--rank-true", 0, "--out-dir", tmp_path) == 2
 
+    def test_rejected_run_creates_no_out_dir(self, tmp_path, capsys):
+        out = tmp_path / "D"
+        assert run_cli("svd-sim", "--m", 3, "--n", 2, "--rank-true", 3,
+                       "--out-dir", out) == 2
+        assert "rank_true" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSvdFit:
     def test_small_run_outputs(self, tmp_path):
@@ -437,6 +444,43 @@ class TestChains:
                        "--out-dir", tmp_path / "out") == 2
         assert "--chains must be a positive integer" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+
+def small_y_file(tmp_path):
+    path = tmp_path / "Y.csv"
+    csvio.write_matrix(path, np.random.default_rng(0).standard_normal((8, 5)))
+    return path
+
+
+@pytest.mark.parametrize("subcommand", ["svd-sim", "svd-fit", "eigen-fit"])
+def test_negative_seed_is_a_validation_error(tmp_path, net_file, subcommand):
+    # NumPy's seed sequence takes no negative seed; the run names the
+    # seed and exits 2 instead of ending in NumPy's traceback
+    inputs = {"svd-sim": [],
+              "svd-fit": ["--input", small_y_file(tmp_path), "--rank", 2],
+              "eigen-fit": ["--input", net_file, "--burn", 5]}[subcommand]
+    proc = subprocess.run(
+        [sys.executable, "-m", "stiefel_mcmc.cli", subcommand,
+         *map(str, inputs), "--seed", "-1", "--out-dir", str(tmp_path / "out")],
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "seed must be a non-negative integer, got -1" in proc.stderr
+
+
+@pytest.mark.parametrize("subcommand,flag,field", [
+    ("svd-fit", "--nu0", "nu0"), ("svd-fit", "--s20", "s20"),
+    ("svd-fit", "--eta0", "eta0"), ("svd-fit", "--t20", "t20"),
+    ("eigen-fit", "--t2-lambda", "t2_lambda"),
+    ("eigen-fit", "--t2-theta", "t2_theta")])
+def test_infinite_hyperparameter_is_a_validation_error(tmp_path, net_file,
+                                                       capsys, subcommand,
+                                                       flag, field):
+    data = small_y_file(tmp_path) if subcommand == "svd-fit" else net_file
+    assert run_cli(subcommand, "--input", data, flag, "inf", "--iters", 10,
+                   "--thin", 5, "--out-dir", tmp_path / "out") == 2
+    assert f"{field} must be finite and strictly positive" in capsys.readouterr().err
+    assert list((tmp_path / "out").rglob("*.csv")) == []
 
 
 def test_console_entry_point(tmp_path):

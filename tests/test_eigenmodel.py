@@ -139,8 +139,8 @@ def test_moments_match_the_entrywise_sums(n, r):
 
 
 def test_z_fill_draws_as_the_per_call_fill():
-    # the network's codes taken once, or a code matrix taken on the call,
-    # give the draws of the fill that reads the codes on every call
+    # the network's codes taken once, or taken again on the call, give
+    # the draws of the fill that reads the code matrix on every call
     net, rng = small_net(71, n=9)
     codes = net.codes.copy()
     codes[0, 4] = codes[4, 0] = em.MISSING
@@ -149,7 +149,8 @@ def test_z_fill_draws_as_the_per_call_fill():
     mean = mean + mean.T
     ref = zfill_probit_per_call(mean, net.codes, np.random.default_rng(72))
     for fill in (lambda g: em.sample_z_full_conditional(net, mean, g),
-                 lambda g: kernels.zfill_probit(mean, net.codes, g)):
+                 lambda g: kernels.zfill_probit(
+                     mean, kernels.ProbitCodes(net.codes), g)):
         assert fill(np.random.default_rng(72)).tobytes() == ref.tobytes()
 
 
@@ -220,12 +221,6 @@ class TestLambdaUpdate:
 
 
 class TestUUpdate:
-    def test_bingham_parameter_hand_case(self):
-        state, _ = fixed_state(n=5, seed=12, theta=0.7)
-        expected = (state.Z - 0.7) / 2.0
-        np.testing.assert_allclose(em.bingham_parameter(state), expected,
-                                   atol=1e-14)
-
     def test_zero_lambda_resamples_uniformly(self):
         state, rng = fixed_state(seed=13)
         state = em.EigenmodelState(Z=state.Z, U=state.U,

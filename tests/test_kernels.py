@@ -42,7 +42,7 @@ class TestZFill:
         mean = rng.standard_normal((n, n))
         mean = 0.5 * (mean + mean.T)
         for _ in range(200):
-            z = mod.zfill_probit(mean, codes, rng)
+            z = mod.zfill_probit(mean, mod.ProbitCodes(codes), rng)
             np.testing.assert_array_equal(z, z.T)
             assert np.all(z[codes == 1] > 0)
             assert np.all(z[codes == 0] < 0)
@@ -52,7 +52,8 @@ class TestZFill:
         n = 8
         codes = np.full((n, n), -1, dtype=np.int8)
         mean = np.zeros((n, n))
-        diags = np.concatenate([np.diag(mod.zfill_probit(mean, codes, rng))
+        probit_codes = mod.ProbitCodes(codes)
+        diags = np.concatenate([np.diag(mod.zfill_probit(mean, probit_codes, rng))
                                 for _ in range(6000)])
         assert diags.var() == pytest.approx(2.0, abs=0.06)
 
@@ -115,7 +116,8 @@ def test_zfill_probit_survives_a_zero_uniform():
     codes[1, 3] = codes[3, 1] = -1
     np.fill_diagonal(codes, -1)
     mean = np.full((n, n), 0.5)
-    z = kernels.zfill_probit(mean, codes, FirstUniformZero(24))
+    z = kernels.zfill_probit(mean, kernels.ProbitCodes(codes),
+                             FirstUniformZero(24))
     assert np.all(np.isfinite(z))
     assert np.all(z[codes == 1] > 0) and np.all(z[codes == 0] < 0)
 
@@ -135,7 +137,7 @@ def test_zfill_probit_holds_signs_against_large_means():
     codes[0, 1] = codes[1, 0] = 1
     codes[0, 2] = codes[2, 0] = 0
     for _ in range(200):
-        z = kernels.zfill_probit(mean, codes, rng)
+        z = kernels.zfill_probit(mean, kernels.ProbitCodes(codes), rng)
         assert np.all(np.isfinite(z))
         assert np.all(z[codes == 1] > 0) and np.all(z[codes == 0] < 0)
 
