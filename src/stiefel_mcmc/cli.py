@@ -91,14 +91,7 @@ def _log_chain_rate(chain: int, iters: int, seconds: float) -> None:
              chain, iters, seconds, iters / seconds)
 
 
-def _svd_fit_single(cfg, chain: int, out: Path) -> None:
-    rng = derive_rng(cfg.seed, "svd-fit", chain)
-    y = csvio.read_matrix(cfg.input)
-    if not np.isfinite(y).all():
-        raise StiefelMcmcError(f"{cfg.input}: missing or non-finite entries are "
-                               "not supported by the low-rank mean model")
-    hyper = svd_model.SvdHyperParams(nu0=cfg.nu0, s20=cfg.s20,
-                                     eta0=cfg.eta0, t20=cfg.t20)
+def _svd_fit_chain(cfg, chain: int, rng, out: Path, y, hyper) -> None:
     start = time.perf_counter()
     result = svd_model.run_svd_gibbs(y, cfg.rank, hyper, cfg.iters, cfg.thin, rng)
     _log_chain_rate(chain, cfg.iters, time.perf_counter() - start)
@@ -139,16 +132,20 @@ def _svd_fit_single(cfg, chain: int, out: Path) -> None:
 
 
 def cmd_svd_fit(cfg) -> int:
-    return _fan_out(cfg, _svd_fit_single)
+    hyper = svd_model.SvdHyperParams(nu0=cfg.nu0, s20=cfg.s20,
+                                     eta0=cfg.eta0, t20=cfg.t20)
+    y = csvio.read_matrix(cfg.input)
+    if not np.isfinite(y).all():
+        raise StiefelMcmcError(f"{cfg.input}: missing or non-finite entries are "
+                               "not supported by the low-rank mean model")
+    m, n = y.shape
+    if not 1 <= cfg.rank <= min(m, n):
+        raise StiefelMcmcError(f"--rank must lie in 1..{min(m, n)} for the "
+                               f"{m}x{n} data matrix, got {cfg.rank}")
+    return _fan_out(cfg, "svd-fit", _svd_fit_chain, y, hyper)
 
 
-def _eigen_fit_single(cfg, chain: int, out: Path) -> None:
-    rng = derive_rng(cfg.seed, "eigen-fit", chain)
-    net = csvio.parse_adjacency(cfg.input)
-    cov = csvio.parse_covariates(cfg.covariates, net.n) if cfg.covariates else None
-    t2_lambda = cfg.t2_lambda if cfg.t2_lambda is not None else float(net.n)
-    hyper = eigenmodel.EigenHyperParams(t2_lambda=t2_lambda,
-                                        t2_theta=cfg.t2_theta, rank=cfg.rank)
+def _eigen_fit_chain(cfg, chain: int, rng, out: Path, net, hyper, cov) -> None:
     # the chain's probit draws need scipy.special, which the package does
     # not import with its modules; loading it here keeps its import time
     # out of the logged chain rate
@@ -170,24 +167,36 @@ def _eigen_fit_single(cfg, chain: int, out: Path) -> None:
               + [f"u_{j + 1}_scaled" for j in range(cfg.rank)])
     table = np.column_stack([np.arange(1, net.n + 1), positions, scaled])
     if cov is not None:
-        header += list(cov.names)
-        table = np.column_stack([table, cov.table])
+        names, cov_table = cov
+        header += list(names)
+        table = np.column_stack([table, cov_table])
     csvio.write_matrix(out / "positions.csv", table, header=header)
     csvio.write_manifest(out / "manifest.json",
                          _chain_manifest(cfg, chain,
-                                         {"n": net.n, "t2_lambda": t2_lambda,
+                                         {"n": net.n, "t2_lambda": hyper.t2_lambda,
                                           "saved_count": result.saved_count,
                                           "eigenvalues": [float(v) for v in eigvals]}))
 
 
 def cmd_eigen_fit(cfg) -> int:
-    return _fan_out(cfg, _eigen_fit_single)
+    net = csvio.parse_adjacency(cfg.input)
+    if not 1 <= cfg.rank <= net.n:
+        raise StiefelMcmcError(f"--rank must lie in 1..{net.n} for the network "
+                               f"of {net.n} nodes, got {cfg.rank}")
+    cov = csvio.parse_covariates(cfg.covariates, net.n) if cfg.covariates else None
+    t2_lambda = cfg.t2_lambda if cfg.t2_lambda is not None else float(net.n)
+    hyper = eigenmodel.EigenHyperParams(t2_lambda=t2_lambda,
+                                        t2_theta=cfg.t2_theta, rank=cfg.rank)
+    return _fan_out(cfg, "eigen-fit", _eigen_fit_chain, net, hyper, cov)
 
 
-def _fan_out(cfg, worker) -> int:
-    """Run `worker` once, or once per chain in separate processes.
+def _fan_out(cfg, label: str, chain_fn, *inputs) -> int:
+    """Run `chain_fn(cfg, k, rng, out, *inputs)` for each chain k: in this
+    process for one chain, in separate processes for several.
 
-    Chain processes are spawned, not forked, with the BLAS thread
+    The caller has read and checked the inputs, and every generator is
+    derived before any directory is made, so a rejected run leaves none
+    behind. Chain processes are spawned, not forked, with the BLAS thread
     variables set to 1 while they start: the BLAS library reads them when
     NumPy is first imported, which a forked child inherits from the
     parent. The parent's environment is restored once every worker has
@@ -195,9 +204,10 @@ def _fan_out(cfg, worker) -> int:
     """
     if cfg.chains < 1:
         raise StiefelMcmcError("--chains must be a positive integer")
+    rngs = [derive_rng(cfg.seed, label, k) for k in range(cfg.chains)]
     out = _outdir(cfg)
     if cfg.chains == 1:
-        worker(cfg, 0, out)
+        chain_fn(cfg, 0, rngs[0], out, *inputs)
         return EXIT_OK
     subdirs = []
     for k in range(cfg.chains):
@@ -210,8 +220,8 @@ def _fan_out(cfg, worker) -> int:
         saved = {k: os.environ.get(k) for k in BLAS_THREAD_VARS}
         os.environ.update({k: "1" for k in BLAS_THREAD_VARS})
         try:
-            futures = [ex.submit(worker, cfg, k, sub)
-                       for k, sub in enumerate(subdirs)]
+            futures = [ex.submit(chain_fn, cfg, k, rng, sub, *inputs)
+                       for k, (rng, sub) in enumerate(zip(rngs, subdirs))]
         finally:
             for k, v in saved.items():
                 if v is None:

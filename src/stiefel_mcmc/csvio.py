@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .eigenmodel import NodeCovariates, SymmetricBinaryNetwork
+from .eigenmodel import MISSING, SymmetricBinaryNetwork
 from .errors import ParseError
 
 MISSING_TOKENS = {"", "NA", "NaN", "nan"}
@@ -67,19 +67,21 @@ def _read_rows(path) -> list[tuple[int, list[str]]]:
 
 
 def _split_header(rows):
-    """Detect and strip a header row: a first row with no numeric field
+    """Detect and strip a header row, returned as its line number and its
+    stripped fields, or None: a first row with no numeric field
     and at least one field that is not a missing marker either. A first
     row with a number in it is data, so a malformed field there fails with
     its line number instead of taking the row away as a header."""
-    first = rows[0][1]
+    lineno, first = rows[0]
     vals = [_to_float(tok) for tok in first]
     if None in vals and all(v is None or v != v for v in vals):
-        return [tok.strip() for tok in first], rows[1:]
+        return (lineno, [tok.strip() for tok in first]), rows[1:]
     return None, rows
 
 
 def _read_table(path, fault):
-    """Header (or None) and float table of a CSV file, NA/empty as NaN.
+    """Header row (its line number and fields, or None) and float table of
+    a CSV file, NA/empty as NaN.
 
     Each data row is parsed field by field with ``_to_float`` (None for a
     non-numeric field), then handed to the per-row cell check
@@ -161,18 +163,24 @@ def parse_adjacency(path) -> SymmetricBinaryNetwork:
     if table.shape[0] != table.shape[1]:
         raise ParseError(
             f"{path}: adjacency must be square, got {table.shape[0]}x{table.shape[1]}")
-    return SymmetricBinaryNetwork.from_dense(table)
+    return SymmetricBinaryNetwork(np.where(np.isnan(table), MISSING, table))
 
 
-def parse_covariates(path, n: int | None = None) -> NodeCovariates:
-    """Node covariate table (0/1/NA), optionally checked against n rows."""
+def parse_covariates(path, n: int | None = None) -> tuple[tuple[str, ...], np.ndarray]:
+    """Column names and node covariate table (0/1/NA), optionally checked
+    against n rows. Without a header the names are x1, x2, ..."""
     path = Path(path)
     header, table = _read_table(path, _binary_fault("covariate"))
     if n is not None and table.shape[0] != n:
         raise ParseError(
             f"{path}: covariate table has {table.shape[0]} rows, network has {n} nodes")
-    names = tuple(header) if header else ()
-    return NodeCovariates(table=table, names=names)
+    if header is None:
+        return tuple(f"x{k + 1}" for k in range(table.shape[1])), table
+    lineno, names = header
+    if len(names) != table.shape[1]:
+        raise ParseError(f"{path}:{lineno}: the header has {len(names)} names, "
+                         f"the rows {table.shape[1]} fields")
+    return tuple(names), table
 
 
 def _format_row(row: np.ndarray) -> str:

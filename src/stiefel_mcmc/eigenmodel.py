@@ -62,21 +62,6 @@ class SymmetricBinaryNetwork:
         object.__setattr__(self, "codes", codes)
         object.__setattr__(self, "probit_codes", kernels.ProbitCodes(codes))
 
-    @classmethod
-    def from_dense(cls, y) -> "SymmetricBinaryNetwork":
-        """Build from a float/object matrix where NaN (or None) marks missing."""
-        arr = np.asarray(y, dtype=np.float64)
-        codes = np.full(arr.shape, MISSING, dtype=np.int8)
-        observed = np.isfinite(arr)
-        codes[observed & (arr == 1)] = 1
-        codes[observed & (arr == 0)] = 0
-        if (observed & (arr != 0) & (arr != 1)).any():
-            bad = np.argwhere(observed & (arr != 0) & (arr != 1))[0]
-            raise InputError(
-                f"adjacency entries must be 0, 1 or missing; "
-                f"offending cell ({bad[0] + 1},{bad[1] + 1})")
-        return cls(codes)
-
     @property
     def n(self) -> int:
         return self.codes.shape[0]
@@ -87,32 +72,6 @@ class SymmetricBinaryNetwork:
         if sign.size == 0:
             return 0.5
         return float(np.mean(sign > 0))
-
-
-@dataclass(frozen=True)
-class NodeCovariates:
-    """Per-node binary indicators carried through to the positions output."""
-
-    table: np.ndarray
-    names: tuple[str, ...]
-
-    def __post_init__(self):
-        table = np.asarray(self.table, dtype=np.float64)
-        if table.ndim != 2:
-            raise DimensionError("covariate table must be 2-d")
-        finite = np.isfinite(table)
-        if ((table != 0) & (table != 1) & finite).any():
-            raise InputError("covariate entries must be 0, 1 or missing")
-        names = tuple(self.names) if self.names else tuple(
-            f"x{k + 1}" for k in range(table.shape[1]))
-        if len(names) != table.shape[1]:
-            raise DimensionError("covariate names do not match column count")
-        object.__setattr__(self, "table", table)
-        object.__setattr__(self, "names", names)
-
-    @property
-    def n(self) -> int:
-        return self.table.shape[0]
 
 
 @dataclass(frozen=True)

@@ -72,6 +72,9 @@ def simulate_dataset(m: int, n: int, rank_true: int,
                      rng: np.random.Generator) -> tuple[np.ndarray, SvdModelState]:
     """Draw ground truth and data: uniform frames, singular values from
     sorted exponential(1) draws scaled by sqrt(m*n), unit noise variance."""
+    for name, size in (("m", m), ("n", n)):
+        if size < 1:
+            raise DimensionError(f"{name} must be a positive integer, got {size}")
     if not 1 <= rank_true <= min(m, n):
         raise DimensionError(f"need 1 <= rank_true <= min(m, n), got {rank_true}")
     u0 = random_uniform_frame(m, rank_true, rng)
@@ -88,12 +91,17 @@ def mle_init(y, rank: int) -> SvdModelState:
     sigma2 starts at the sample variance of the residuals and tau2 at the
     mean squared retained singular value. Raises InputError when the
     rank-`rank` fit leaves no residual: sigma2 would start at 0, and the MF
-    parameters Y V D / sigma^2 would have no finite value.
+    parameters Y V D / sigma^2 would have no finite value. A 1x1 matrix,
+    whose residual has no sample variance, is rejected the same way.
     """
     ymat = np.asarray(y, dtype=np.float64)
     m, n = ymat.shape
     if not 1 <= rank <= min(m, n):
         raise DimensionError(f"need 1 <= rank <= min(m, n), got rank={rank}")
+    if m * n == 1:
+        raise InputError("the rank-1 fit of a 1x1 data matrix leaves no "
+                         "residual, so the noise variance has no positive "
+                         "starting value")
     uu, ss, vt = np.linalg.svd(ymat, full_matrices=False)
     u = OrthonormalFrame(uu[:, :rank])
     v = OrthonormalFrame(vt[:rank].T)

@@ -80,10 +80,24 @@ class TestParsers:
     def test_covariate_row_count_checked(self, tmp_path):
         p = tmp_path / "x.csv"
         p.write_text("drug,smoke\n1,0\n0,1\n")
-        cov = csvio.parse_covariates(p, 2)
-        assert cov.names == ("drug", "smoke")
+        names, table = csvio.parse_covariates(p, 2)
+        assert names == ("drug", "smoke")
         with pytest.raises(ParseError):
             csvio.parse_covariates(p, 3)
+
+    def test_covariate_header_width_checked(self, tmp_path):
+        p = tmp_path / "x.csv"
+        p.write_text("drug,smoke,alcohol\n1,0\n0,1\n")
+        with pytest.raises(ParseError, match=r"x\.csv:1: the header has 3 names, "
+                                             r"the rows 2 fields"):
+            csvio.parse_covariates(p, 2)
+
+    def test_covariate_default_names(self, tmp_path):
+        p = tmp_path / "x.csv"
+        p.write_text("1,0,NA\n0,1,1\n")
+        names, table = csvio.parse_covariates(p, 2)
+        assert names == ("x1", "x2", "x3")
+        assert table.shape == (2, 3) and np.isnan(table[0, 2])
 
     def test_roundtrip_precision(self, tmp_path):
         vals = np.array([[np.pi, 1e-17, -3.0, 1.0 / 3.0]])
@@ -213,6 +227,13 @@ class TestSvdSim:
         assert run_cli("svd-sim", "--m", 3, "--n", 2, "--rank-true", 3,
                        "--out-dir", out) == 2
         assert "rank_true" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--m", "--n"])
+    def test_nonpositive_size_is_named(self, tmp_path, capsys, flag):
+        out = tmp_path / "D"
+        assert run_cli("svd-sim", flag, 0, "--out-dir", out) == 2
+        assert f"{flag[2:]} must be a positive integer, got 0" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -481,6 +502,51 @@ def test_infinite_hyperparameter_is_a_validation_error(tmp_path, net_file,
                    "--thin", 5, "--out-dir", tmp_path / "out") == 2
     assert f"{field} must be finite and strictly positive" in capsys.readouterr().err
     assert list((tmp_path / "out").rglob("*.csv")) == []
+
+
+SYMMETRIC_NET = "NA,1,0\n1,NA,1\n0,1,NA\n"
+ASYMMETRIC_NET = "NA,1,0\n0,NA,1\n0,1,NA\n"
+
+
+@pytest.mark.parametrize("net,args,message", [
+    (None, ["--seed", -1], "seed must be a non-negative integer"),
+    (None, ["--nu0", "inf", "--chains", 2], "nu0 must be finite"),
+    (None, ["--rank", 6], "--rank must lie in 1..5 for the 8x5 data matrix, got 6"),
+    (SYMMETRIC_NET, ["--t2-theta", "inf"], "t2_theta must be finite"),
+    (SYMMETRIC_NET, ["--rank", 5],
+     "--rank must lie in 1..3 for the network of 3 nodes, got 5"),
+    (ASYMMETRIC_NET, ["--chains", 2], "(1,2)")],
+    ids=["svd-seed", "svd-nu0-chains", "svd-rank", "eigen-t2-theta", "eigen-rank",
+         "eigen-asymmetric-chains"])
+def test_rejected_fit_creates_no_out_dir(tmp_path, capsys, net, args, message):
+    # inputs, hyperparameters and seed are checked before any directory
+    # is made, for one chain and for several
+    if net is None:
+        cmd = ["svd-fit", "--input", small_y_file(tmp_path), "--rank", 2]
+    else:
+        data = tmp_path / "net.csv"
+        data.write_text(net)
+        cmd = ["eigen-fit", "--input", data, "--burn", 0]
+    out = tmp_path / "out"
+    assert run_cli(*cmd, *args, "--iters", 10, "--thin", 5, "--out-dir", out) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_one_entry_y_is_rejected_without_numpy_warnings(tmp_path):
+    # the sample variance of a single residual has no degrees of freedom;
+    # the run says so instead of printing NumPy's RuntimeWarning first
+    p = tmp_path / "Y.csv"
+    p.write_text("3.5\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "stiefel_mcmc.cli", "svd-fit", "--input", str(p),
+         "--rank", "1", "--iters", "5", "--thin", "5",
+         "--out-dir", str(tmp_path / "fit")],
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: the rank-1 fit of a 1x1 data matrix "
+                                  "leaves no residual"), proc.stderr
+    assert "Warning" not in proc.stderr
 
 
 def test_console_entry_point(tmp_path):

@@ -3,7 +3,7 @@ import pytest
 
 from stiefel_mcmc import ConstraintError, DimensionError, InputError
 from stiefel_mcmc import eigenmodel as em
-from stiefel_mcmc import kernels
+from stiefel_mcmc import csvio, kernels
 from stiefel_mcmc.frames import frame_defect, random_uniform_frame
 
 from oracles import (
@@ -39,11 +39,10 @@ class TestNetworkType:
         with pytest.raises(InputError, match=r"offending cell \(1,2\)"):
             em.SymmetricBinaryNetwork(codes)
 
-    def test_from_dense_with_nan(self):
-        y = np.array([[np.nan, 1.0, 0.0],
-                      [1.0, np.nan, np.nan],
-                      [0.0, np.nan, np.nan]])
-        net = em.SymmetricBinaryNetwork.from_dense(y)
+    def test_from_dense_with_nan(self, tmp_path):
+        path = tmp_path / "a.csv"
+        path.write_text("NA,1,0\n1,NA,NA\n0,NA,NA\n")
+        net = csvio.parse_adjacency(path)
         assert net.n == 3
         assert net.codes[0, 1] == 1
         assert net.codes[0, 2] == 0
@@ -51,10 +50,10 @@ class TestNetworkType:
         assert np.all(np.diag(net.codes) == em.MISSING)
 
     def test_edge_density(self):
-        y = np.array([[np.nan, 1.0, 0.0],
-                      [1.0, np.nan, 1.0],
-                      [0.0, 1.0, np.nan]])
-        net = em.SymmetricBinaryNetwork.from_dense(y)
+        codes = np.array([[em.MISSING, 1, 0],
+                          [1, em.MISSING, 1],
+                          [0, 1, em.MISSING]])
+        net = em.SymmetricBinaryNetwork(codes)
         assert net.observed_edge_density() == pytest.approx(2.0 / 3.0)
 
 
