@@ -49,12 +49,6 @@ def _setup_logging():
                         format="%(levelname)s %(name)s: %(message)s")
 
 
-def _outdir(cfg) -> Path:
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _manifest(cfg, extra=None) -> dict:
     payload = {k: v for k, v in sorted(vars(cfg).items())
                if k != "func" and not k.startswith("_")}
@@ -76,7 +70,7 @@ def _chain_manifest(cfg, chain: int, extra: dict) -> dict:
 def cmd_svd_sim(cfg) -> int:
     rng = derive_rng(cfg.seed, "svd-sim")
     y, truth = svd_model.simulate_dataset(cfg.m, cfg.n, cfg.rank_true, rng)
-    out = _outdir(cfg)
+    out = Path(cfg.out_dir)
     csvio.write_matrix(out / "Y.csv", y)
     csvio.write_matrix(out / "M0.csv", truth.mean_matrix())
     csvio.write_matrix(out / "d0.csv", truth.d.reshape(1, -1))
@@ -116,16 +110,12 @@ def _svd_fit_chain(cfg, chain: int, rng, out: Path, y, hyper) -> None:
 
     if m0 is not None:
         # the chain's start is the rank-R MLE, so Y is factored only once
-        rows = [
+        csvio.write_summary(out / "summary.csv", [
             ("mse_mle", svd_model.mean_squared_error(m0, result.start.mean_matrix())),
             ("mse_posterior_mean",
              svd_model.mean_squared_error(m0, result.m_posterior_mean)),
             ("mse_rank_r", svd_model.mean_squared_error(m0, rank_r)),
-        ]
-        with open(out / "summary.csv", "w") as fh:
-            fh.write("quantity,value\n")
-            for name, value in rows:
-                fh.write(f"{name},{csvio.format_value(value)}\n")
+        ])
     csvio.write_manifest(out / "manifest.json",
                          _chain_manifest(cfg, chain,
                                          {"saved_count": result.saved_count}))
@@ -194,9 +184,9 @@ def _fan_out(cfg, label: str, chain_fn, *inputs) -> int:
     """Run `chain_fn(cfg, k, rng, out, *inputs)` for each chain k: in this
     process for one chain, in separate processes for several.
 
-    The caller has read and checked the inputs, and every generator is
-    derived before any directory is made, so a rejected run leaves none
-    behind. Chain processes are spawned, not forked, with the BLAS thread
+    The caller has read and checked the inputs; chain k of several
+    writes to `out/chain_XX`, which csvio makes with its first file.
+    Chain processes are spawned, not forked, with the BLAS thread
     variables set to 1 while they start: the BLAS library reads them when
     NumPy is first imported, which a forked child inherits from the
     parent. The parent's environment is restored once every worker has
@@ -205,23 +195,19 @@ def _fan_out(cfg, label: str, chain_fn, *inputs) -> int:
     if cfg.chains < 1:
         raise StiefelMcmcError("--chains must be a positive integer")
     rngs = [derive_rng(cfg.seed, label, k) for k in range(cfg.chains)]
-    out = _outdir(cfg)
+    out = Path(cfg.out_dir)
     if cfg.chains == 1:
         chain_fn(cfg, 0, rngs[0], out, *inputs)
         return EXIT_OK
-    subdirs = []
-    for k in range(cfg.chains):
-        sub = out / f"chain_{k:02d}"
-        sub.mkdir(parents=True, exist_ok=True)
-        subdirs.append(sub)
     with ProcessPoolExecutor(max_workers=min(cfg.chains, os.cpu_count() or 1),
                              mp_context=multiprocessing.get_context("spawn"),
                              initializer=_setup_logging) as ex:
         saved = {k: os.environ.get(k) for k in BLAS_THREAD_VARS}
         os.environ.update({k: "1" for k in BLAS_THREAD_VARS})
         try:
-            futures = [ex.submit(chain_fn, cfg, k, rng, sub, *inputs)
-                       for k, (rng, sub) in enumerate(zip(rngs, subdirs))]
+            futures = [ex.submit(chain_fn, cfg, k, rng, out / f"chain_{k:02d}",
+                                 *inputs)
+                       for k, rng in enumerate(rngs)]
         finally:
             for k, v in saved.items():
                 if v is None:

@@ -166,12 +166,13 @@ def parse_adjacency(path) -> SymmetricBinaryNetwork:
     return SymmetricBinaryNetwork(np.where(np.isnan(table), MISSING, table))
 
 
-def parse_covariates(path, n: int | None = None) -> tuple[tuple[str, ...], np.ndarray]:
-    """Column names and node covariate table (0/1/NA), optionally checked
-    against n rows. Without a header the names are x1, x2, ..."""
+def parse_covariates(path, n: int) -> tuple[tuple[str, ...], np.ndarray]:
+    """Column names and node covariate table (0/1/NA), checked to have one
+    row per node of an n-node network. Without a header the names are
+    x1, x2, ..."""
     path = Path(path)
     header, table = _read_table(path, _binary_fault("covariate"))
-    if n is not None and table.shape[0] != n:
+    if table.shape[0] != n:
         raise ParseError(
             f"{path}: covariate table has {table.shape[0]} rows, network has {n} nodes")
     if header is None:
@@ -190,9 +191,18 @@ def _format_row(row: np.ndarray) -> str:
     return ",".join("NA" if v != v else repr(v) for v in row.tolist())
 
 
+def _create(path):
+    """`path` opened for writing, its directory made first: an output
+    directory comes into being with its first file, so a run rejected
+    before it writes anything leaves no directory behind."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return open(path, "w", newline="")
+
+
 def write_matrix(path, mat, header: list[str] | None = None) -> None:
     mat = np.atleast_2d(np.asarray(mat))
-    with open(path, "w", newline="") as fh:
+    with _create(path) as fh:
         if header:
             fh.write(",".join(header) + "\n")
         for row in mat:
@@ -202,13 +212,21 @@ def write_matrix(path, mat, header: list[str] | None = None) -> None:
 def write_trace(path, colnames: list[str], iterations, columns) -> None:
     """Trace file: header `iter,<colnames...>`, one row per saved state."""
     columns = np.atleast_2d(np.asarray(columns))
-    with open(path, "w", newline="") as fh:
+    with _create(path) as fh:
         fh.write(",".join(["iter"] + list(colnames)) + "\n")
         for it, row in zip(iterations, columns):
             fh.write(f"{int(it)},{_format_row(row)}\n")
 
 
+def write_summary(path, rows) -> None:
+    """Summary file: header `quantity,value`, one row per (name, value)."""
+    with _create(path) as fh:
+        fh.write("quantity,value\n")
+        for name, value in rows:
+            fh.write(f"{name},{format_value(value)}\n")
+
+
 def write_manifest(path, payload: dict) -> None:
-    with open(path, "w") as fh:
+    with _create(path) as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")

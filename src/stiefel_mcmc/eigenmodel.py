@@ -304,6 +304,4 @@ def generate_network(theta: float, lam: np.ndarray, u: OrthonormalFrame,
     noise = rng.standard_normal((n, n))
     eps = np.triu(noise, 1)
     eps = eps + eps.T + np.diag(np.sqrt(2.0) * np.diag(noise))
-    codes = ((mean + eps) > 0).astype(np.int8)
-    np.fill_diagonal(codes, MISSING)
-    return SymmetricBinaryNetwork(codes)
+    return SymmetricBinaryNetwork(((mean + eps) > 0).astype(np.int8))

@@ -81,9 +81,6 @@ class OrthonormalFrame:
     def cols(self) -> int:
         return self.entries.shape[1]
 
-    def __array__(self, dtype=None, copy=None):
-        return np.array(self.entries, dtype=dtype)
-
 
 def random_uniform_frame(m: int, r: int, rng: np.random.Generator) -> OrthonormalFrame:
     """Draw a frame uniformly (invariant Haar measure) on V_{r,m}.

@@ -72,13 +72,6 @@ def sample_bingham_vector(A: np.ndarray, rng: np.random.Generator) -> np.ndarray
     return u / np.linalg.norm(u)
 
 
-def _check_kernel_args(param: np.ndarray, current: OrthonormalFrame, name: str):
-    if param.shape != (current.rows, current.cols):
-        raise DimensionError(
-            f"{name} has shape {param.shape}, expected "
-            f"{(current.rows, current.cols)} to match the frame")
-
-
 def _ensure_frame(entries: np.ndarray) -> OrthonormalFrame:
     # repair drift instead of failing, and say so; sweeps only compose
     # orthonormal pieces so this fires rarely even in very long runs. The
@@ -127,7 +120,10 @@ def sample_mf_matrix_gibbs(C: np.ndarray,
     exact vector draw, the same draws as ``sample_mf_vector``.
     """
     c = np.asarray(C, dtype=np.float64)
-    _check_kernel_args(c, current, "C")
+    if c.shape != (current.rows, current.cols):
+        raise DimensionError(
+            f"C has shape {c.shape}, expected "
+            f"{(current.rows, current.cols)} to match the frame")
     if not np.all(np.isfinite(c)):
         raise InputError("C has non-finite entries")
     u = _sweep_columns(current.entries.copy(),
@@ -135,12 +131,10 @@ def sample_mf_matrix_gibbs(C: np.ndarray,
     return _ensure_frame(u)
 
 
-def sample_mf_matrix(C: np.ndarray,
-                     rng: np.random.Generator,
-                     sweeps: int = DEFAULT_BURN_SWEEPS) -> OrthonormalFrame:
+def sample_mf_matrix(C: np.ndarray, rng: np.random.Generator) -> OrthonormalFrame:
     """Approximately independent draw targeting etr(C'U).
 
-    Runs `sweeps` Gibbs sweeps (default 25) from a uniform random frame.
+    Runs DEFAULT_BURN_SWEEPS (25) Gibbs sweeps from a uniform random frame.
     The result is a Markov-chain state, not an exact draw; 25 sweeps is
     ample for the moderate concentrations arising in the bundled models.
     """
@@ -148,7 +142,7 @@ def sample_mf_matrix(C: np.ndarray,
     if c.ndim != 2:
         raise DimensionError("C must be a matrix")
     state = random_uniform_frame(c.shape[0], c.shape[1], rng)
-    for _ in range(max(1, sweeps)):
+    for _ in range(DEFAULT_BURN_SWEEPS):
         state = sample_mf_matrix_gibbs(c, state, rng)
     return state
 

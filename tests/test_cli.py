@@ -308,6 +308,7 @@ class TestSvdFit:
             capture_output=True, text=True, timeout=60)
         assert proc.returncode == 2
         assert "rank-1 fit leaves no residual" in proc.stderr
+        assert not (tmp_path / "fit").exists()
 
     @pytest.mark.parametrize("fault,chains", [("shape", 1), ("missing", 1),
                                               ("shape", 2)])
@@ -327,6 +328,26 @@ class TestSvdFit:
                        "--out-dir", tmp_path / "fit", "--seed", 1) == 2
         assert "bad_truth.csv" in capsys.readouterr().err
         assert [p for p in (tmp_path / "fit").rglob("*") if p.is_file()] == []
+        assert not (tmp_path / "fit").exists()
+
+    @pytest.mark.parametrize("chains", [1, 2])
+    def test_schedule_that_saves_no_draw_creates_no_out_dir(self, tmp_path,
+                                                            capsys, chains):
+        # the schedule is checked by the runner, inside the chain; the
+        # out dir is made only with the first file written
+        out = tmp_path / "fit"
+        assert run_cli("svd-fit", "--input", small_y_file(tmp_path), "--rank", 2,
+                       "--iters", 3, "--thin", 5, "--chains", chains,
+                       "--out-dir", out) == 2
+        assert "need iters >= thin >= 1, got iters=3, thin=5" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_out_dir_under_a_regular_file_is_io_error(self, tmp_path):
+        # the out dir is made at the first write, after the chain
+        blocker = tmp_path / "blocker"
+        blocker.write_text("not a directory\n")
+        assert run_cli("svd-fit", "--input", small_y_file(tmp_path), "--rank", 2,
+                       "--iters", 5, "--thin", 5, "--out-dir", blocker / "sub") == 3
 
     def test_determinism(self, tmp_path):
         run_cli("svd-sim", "--m", 12, "--n", 8, "--rank-true", 2,
@@ -515,12 +536,14 @@ ASYMMETRIC_NET = "NA,1,0\n0,NA,1\n0,1,NA\n"
     (SYMMETRIC_NET, ["--t2-theta", "inf"], "t2_theta must be finite"),
     (SYMMETRIC_NET, ["--rank", 5],
      "--rank must lie in 1..3 for the network of 3 nodes, got 5"),
-    (ASYMMETRIC_NET, ["--chains", 2], "(1,2)")],
+    (ASYMMETRIC_NET, ["--chains", 2], "(1,2)"),
+    (SYMMETRIC_NET, ["--burn", 10, "--chains", 2], "got 10/10/5")],
     ids=["svd-seed", "svd-nu0-chains", "svd-rank", "eigen-t2-theta", "eigen-rank",
-         "eigen-asymmetric-chains"])
+         "eigen-asymmetric-chains", "eigen-burn-chains"])
 def test_rejected_fit_creates_no_out_dir(tmp_path, capsys, net, args, message):
-    # inputs, hyperparameters and seed are checked before any directory
-    # is made, for one chain and for several
+    # a fit rejected before its first write, by a parent-side check or by
+    # the runner's schedule check, leaves no directory, for one chain and
+    # for several
     if net is None:
         cmd = ["svd-fit", "--input", small_y_file(tmp_path), "--rank", 2]
     else:
@@ -547,6 +570,7 @@ def test_one_entry_y_is_rejected_without_numpy_warnings(tmp_path):
     assert proc.stderr.startswith("error: the rank-1 fit of a 1x1 data matrix "
                                   "leaves no residual"), proc.stderr
     assert "Warning" not in proc.stderr
+    assert not (tmp_path / "fit").exists()
 
 
 def test_console_entry_point(tmp_path):
