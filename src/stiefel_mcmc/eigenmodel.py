@@ -26,7 +26,7 @@ import numpy as np
 from . import kernels
 from .errors import ConstraintError, DimensionError, InputError
 from .frames import OrthonormalFrame, random_uniform_frame, require_symmetric
-from .samplers import sample_bingham_matrix_gibbs
+from .samplers import run_chain, sample_bingham_matrix_gibbs
 
 MISSING = -1  # code for unobserved entries (includes the whole diagonal)
 
@@ -44,6 +44,9 @@ class SymmetricBinaryNetwork:
         codes = np.asarray(self.codes)
         if codes.ndim != 2 or codes.shape[0] != codes.shape[1]:
             raise DimensionError("adjacency must be a square matrix")
+        if codes.shape[0] < 2:
+            raise DimensionError("a network needs at least 2 nodes to have a "
+                                 f"dyad, got {codes.shape[0]}")
         valid = np.isin(codes, (-1, 0, 1))
         if not valid.all():
             bad = np.argwhere(~valid)[0]
@@ -235,37 +238,22 @@ def run_eigenmodel_gibbs(y: SymmetricBinaryNetwork, hyper: EigenHyperParams,
                          iters: int, burn: int, thin: int,
                          rng: np.random.Generator,
                          check_constraints: bool = False) -> EigenGibbsResult:
-    """Run the Gibbs sampler, one ``gibbs_iteration`` per iteration; every
-    iteration after `burn` that is a multiple of `thin` is
-    recorded (its number, sorted lambda, theta, running sum of
-    U Lambda U'). Raises InputError when that schedule records nothing.
-
-    check_constraints=True re-validates the sign pattern of Z against the
-    observed network every iteration (test mode).
-    """
-    if iters <= burn or burn < 0 or thin < 1:
-        raise InputError(
-            f"need iters > burn >= 0 and thin >= 1, got {iters}/{burn}/{thin}")
-    if iters // thin <= burn // thin:
-        raise InputError(
-            f"the schedule iters={iters}, burn={burn}, thin={thin} saves no "
-            f"draw: no multiple of {thin} lies in {burn + 1}..{iters}")
-    state = initial_state(y, hyper, rng)
-    lam_rows, theta_vals, saved_iters = [], [], []
-    msum = np.zeros((y.n, y.n))
-    for it in range(1, iters + 1):
+    """``samplers.run_chain`` from ``initial_state``, saving sorted lambda
+    and theta. check_constraints=True re-validates the sign pattern of Z
+    against the observed network every iteration (test mode)."""
+    def step(state):
         state = gibbs_iteration(state, y, hyper, rng)
         if check_constraints:
             check_sign_constraints(y, state.Z)
-        if it > burn and it % thin == 0:
-            lam_rows.append(np.sort(state.lam))
-            theta_vals.append(state.theta)
-            saved_iters.append(it)
-            msum += state.factor_matrix()
-    return EigenGibbsResult(lambda_trace=np.array(lam_rows),
-                            theta_trace=np.array(theta_vals),
-                            m_bar=msum / len(saved_iters),
-                            saved_iters=np.array(saved_iters))
+        return state
+
+    trace, m_bar, saved = run_chain(
+        initial_state(y, hyper, rng), step,
+        lambda s: (np.append(np.sort(s.lam), s.theta), s.U.entries * s.lam,
+                   s.U.entries),
+        iters, burn, thin)
+    return EigenGibbsResult(lambda_trace=trace[:, :-1], theta_trace=trace[:, -1],
+                            m_bar=m_bar, saved_iters=saved)
 
 
 def latent_positions(m_bar: np.ndarray, rank: int) -> tuple[np.ndarray, np.ndarray]:

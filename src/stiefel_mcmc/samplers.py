@@ -164,9 +164,10 @@ def sample_bingham_matrix_gibbs(A: np.ndarray,
     vector Bingham law exp(b_j v' diag(lam) v) on the unit sphere
     orthogonal to the other columns, by
     ``kernels.bingham_spectral(b_j * lam, rng, others)``; U = E Ut is formed
-    once at the end. One ``eigh`` per sweep and O(n k) work per proposal,
-    k = R - 1; b_j = 0 gives a uniform draw on that sphere. For R = 1
-    each sweep is one exact vector draw.
+    once at the end. One ``eigh`` per sweep; each proposal is one product
+    with the n x (n + l) matrix of ``kernels._kriged_proposal``, O(n^2),
+    built once per column at O(n^2 k), k = R - 1. b_j = 0 gives a uniform
+    draw on that sphere. For R = 1 each sweep is one exact vector draw.
     """
     a = require_symmetric(A)
     bvec = np.atleast_1d(np.asarray(b, dtype=np.float64))
@@ -189,3 +190,39 @@ def sample_bingham_matrix_gibbs(A: np.ndarray,
         evecs.T @ current.entries,
         lambda j, others: kernels.bingham_spectral(bvec[j] * lam, rng, others))
     return _ensure_frame(evecs @ ut)
+
+
+# Saved draws stacked into one product of the posterior-mean sum: about
+# this many columns of the left and right factors per block.
+MEAN_BLOCK_COLUMNS = 64
+
+
+def run_chain(state, step, record, iters: int, burn: int, thin: int):
+    """``state = step(state)`` for iterations 1..iters, saving each one
+    after `burn` that is a multiple of `thin`: ``record(state)`` gives
+    (row, left, right), row goes to the trace and left @ right.T to the
+    mean, summed K = max(1, MEAN_BLOCK_COLUMNS // R) draws at a time, R
+    being the columns of left, as one (m x KR)(KR x n) product. Returns
+    (trace, mean, saved_iters)."""
+    if iters <= burn or burn < 0 or thin < 1:
+        raise InputError(
+            f"need iters > burn >= 0 and thin >= 1, got {iters}/{burn}/{thin}")
+    if iters // thin <= burn // thin:
+        raise InputError(
+            f"the schedule iters={iters}, burn={burn}, thin={thin} saves no "
+            f"draw: no multiple of {thin} lies in {burn + 1}..{iters}")
+    trace, saved_iters, pending, msum = [], [], [], 0.0
+    last = iters - iters % thin  # the last save also sums a partial block
+    for it in range(1, iters + 1):
+        state = step(state)
+        if it > burn and it % thin == 0:
+            row, left, right = record(state)
+            trace.append(row)
+            saved_iters.append(it)
+            pending.append((left, right))
+            if (it == last
+                    or len(pending) == max(1, MEAN_BLOCK_COLUMNS // left.shape[1])):
+                left, right = (np.hstack(cols) for cols in zip(*pending))
+                msum += left @ right.T
+                pending = []
+    return np.array(trace), msum / len(saved_iters), np.array(saved_iters)

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import DimensionError, InputError
 from .frames import OrthonormalFrame, random_uniform_frame
-from .samplers import sample_mf_matrix_gibbs
+from .samplers import run_chain, sample_mf_matrix_gibbs
 
 
 @dataclass(frozen=True)
@@ -226,49 +226,21 @@ class SvdGibbsResult:
         return len(self.saved_iters)
 
 
-# Saved draws stacked into one product of the posterior-mean sum: about
-# this many columns of U diag(d) and V per block.
-MEAN_BLOCK_COLUMNS = 64
-
-
 def run_svd_gibbs(y, rank: int, hyper: SvdHyperParams, iters: int, thin: int,
                   rng: np.random.Generator) -> SvdGibbsResult:
-    """Run the Gibbs sampler from the MLE start, which the result keeps.
-
-    Update order per iteration: U, V, d, sigma^2, tau^2. Every `thin`-th
-    iteration the sorted absolute singular values are recorded and
-    U diag(d) V' is accumulated into the posterior-mean estimate, K draws
-    at a time as one (m x KR)(KR x n) product. d is deliberately left
-    unsorted inside the chain; sorting happens only in the saved trace,
-    anything else would change the target.
-    """
+    """``samplers.run_chain`` from the MLE start, which the result keeps,
+    saving every `thin`-th iteration. d is left unsorted inside the chain;
+    only the trace holds |d| sorted decreasing, since anything else would
+    change the target."""
     ymat = np.asarray(y, dtype=np.float64)
-    if iters < 1 or thin < 1 or iters < thin:
-        raise InputError(f"need iters >= thin >= 1, got iters={iters}, thin={thin}")
-    state = start = mle_init(ymat, rank)
+    start = mle_init(ymat, rank)
     y_sq = float(np.vdot(ymat, ymat))
-    block = max(1, MEAN_BLOCK_COLUMNS // rank) * rank
-    ud_cols = np.empty((ymat.shape[0], block))
-    v_cols = np.empty((ymat.shape[1], block))
-    filled = 0
-    trace, saved_iters = [], []
-    msum = np.zeros_like(ymat)
-    for it in range(1, iters + 1):
-        state = gibbs_iteration(state, ymat, y_sq, hyper, rng)
-        if it % thin == 0:
-            trace.append(np.sort(np.abs(state.d))[::-1])
-            saved_iters.append(it)
-            ud_cols[:, filled:filled + rank] = state.U.entries * state.d
-            v_cols[:, filled:filled + rank] = state.V.entries
-            filled += rank
-            if filled == block:
-                msum += ud_cols @ v_cols.T
-                filled = 0
-    if filled:
-        msum += ud_cols[:, :filled] @ v_cols[:, :filled].T
-    return SvdGibbsResult(d_trace=np.array(trace),
-                          m_posterior_mean=msum / len(saved_iters),
-                          saved_iters=np.array(saved_iters), start=start)
+    trace, mean, saved = run_chain(
+        start, lambda s: gibbs_iteration(s, ymat, y_sq, hyper, rng),
+        lambda s: (np.sort(np.abs(s.d))[::-1], s.U.entries * s.d, s.V.entries),
+        iters, 0, thin)
+    return SvdGibbsResult(d_trace=trace, m_posterior_mean=mean,
+                          saved_iters=saved, start=start)
 
 
 def rank_r_approximation(mat: np.ndarray, rank: int) -> np.ndarray:

@@ -171,6 +171,25 @@ def svd_gibbs_direct(y: np.ndarray, rank: int, hyper, iters: int, thin: int,
     return np.array(trace), msum / len(trace)
 
 
+def eigen_gibbs_direct(y, hyper, iters: int, burn: int, thin: int,
+                       rng: np.random.Generator):
+    """`eigenmodel.run_eigenmodel_gibbs` as a plain loop over
+    `eigenmodel.gibbs_iteration` from `initial_state`, adding one
+    U Lambda U' to the posterior-mean sum per saved draw.
+    Returns (lambda_trace, theta_trace, m_bar)."""
+    from stiefel_mcmc import eigenmodel as em
+
+    state = em.initial_state(y, hyper, rng)
+    lam_rows, thetas, msum = [], [], np.zeros((y.n, y.n))
+    for it in range(1, iters + 1):
+        state = em.gibbs_iteration(state, y, hyper, rng)
+        if it > burn and it % thin == 0:
+            lam_rows.append(np.sort(state.lam))
+            thetas.append(state.theta)
+            msum += state.factor_matrix()
+    return np.array(lam_rows), np.array(thetas), msum / len(thetas)
+
+
 def theta_moments_triangle(state, hyper) -> tuple[float, float]:
     """(mean, variance) of theta | Z, U, lambda summed entry by entry over
     the residual R = Z - U Lambda U': var (sum_{i<j} r_ij + sum_i r_ii/2)

@@ -339,7 +339,7 @@ class TestSvdFit:
         assert run_cli("svd-fit", "--input", small_y_file(tmp_path), "--rank", 2,
                        "--iters", 3, "--thin", 5, "--chains", chains,
                        "--out-dir", out) == 2
-        assert "need iters >= thin >= 1, got iters=3, thin=5" in capsys.readouterr().err
+        assert "iters=3, burn=0, thin=5 saves no draw" in capsys.readouterr().err
         assert not out.exists()
 
     def test_out_dir_under_a_regular_file_is_io_error(self, tmp_path):
@@ -537,9 +537,10 @@ ASYMMETRIC_NET = "NA,1,0\n0,NA,1\n0,1,NA\n"
     (SYMMETRIC_NET, ["--rank", 5],
      "--rank must lie in 1..3 for the network of 3 nodes, got 5"),
     (ASYMMETRIC_NET, ["--chains", 2], "(1,2)"),
-    (SYMMETRIC_NET, ["--burn", 10, "--chains", 2], "got 10/10/5")],
+    (SYMMETRIC_NET, ["--burn", 10, "--chains", 2], "got 10/10/5"),
+    ("NA\n", ["--rank", 1], "a network needs at least 2 nodes to have a dyad, got 1")],
     ids=["svd-seed", "svd-nu0-chains", "svd-rank", "eigen-t2-theta", "eigen-rank",
-         "eigen-asymmetric-chains", "eigen-burn-chains"])
+         "eigen-asymmetric-chains", "eigen-burn-chains", "eigen-one-node"])
 def test_rejected_fit_creates_no_out_dir(tmp_path, capsys, net, args, message):
     # a fit rejected before its first write, by a parent-side check or by
     # the runner's schedule check, leaves no directory, for one chain and
@@ -608,9 +609,9 @@ def test_full_rank_svd_fit_terminates(tmp_path):
     assert np.all(np.isfinite(csvio.read_matrix(tmp_path / "fit" / "d_trace.csv")))
 
 
-# Runs svd-sim and svd-fit, then eigen-fit with its Gibbs runner wrapped
-# from outside the package (the way a benchmark harness times it), and
-# prints which of them had loaded scipy.special.
+# Runs svd-sim, then svd-fit and eigen-fit with their Gibbs runners
+# wrapped from outside the package (the way a benchmark harness times
+# them), and prints which of them had loaded scipy.special.
 IMPORT_BOUNDARY_SCRIPT = """
 import json, sys
 from stiefel_mcmc import cli
@@ -620,19 +621,22 @@ def loaded():
 
 out, net = sys.argv[1], sys.argv[2]
 report = {"import": loaded()}
+
+def wrap(module, attr, key):
+    runner = getattr(sys.modules["stiefel_mcmc." + module], attr)
+
+    def entered(*args, **kwargs):
+        report[key] = loaded()
+        return runner(*args, **kwargs)
+    setattr(sys.modules["stiefel_mcmc." + module], attr, entered)
+
+wrap("svd_model", "run_svd_gibbs", "svd_runner_entry")
+wrap("eigenmodel", "run_eigenmodel_gibbs", "eigen_runner_entry")
 codes = [cli.main(["svd-sim", "--m", "12", "--n", "8", "--out-dir", out + "/sim"]),
          cli.main(["svd-fit", "--input", out + "/sim/Y.csv", "--truth",
                    out + "/sim/M0.csv", "--rank", "2", "--iters", "10",
                    "--thin", "5", "--out-dir", out + "/fit"])]
 report["svd"] = loaded()
-eigenmodel = sys.modules["stiefel_mcmc.eigenmodel"]
-runner = eigenmodel.run_eigenmodel_gibbs
-
-def entered(*args, **kwargs):
-    report["eigen_runner_entry"] = loaded()
-    return runner(*args, **kwargs)
-
-eigenmodel.run_eigenmodel_gibbs = entered
 codes.append(cli.main(["eigen-fit", "--input", net, "--iters", "10", "--burn",
                        "5", "--thin", "5", "--out-dir", out + "/eig"]))
 report["codes"] = codes
@@ -643,11 +647,12 @@ print(json.dumps(report))
 def test_svd_path_never_loads_scipy_special(tmp_path, net_file):
     # scipy.special is most of the package's import time and only the
     # eigenmodel uses it; eigen-fit loads it before its chain starts, so
-    # its import time stays out of the chain's timed window
+    # its import time stays out of the chain's timed window. A fit that
+    # bypasses its runner's module attribute leaves its key out
     proc = subprocess.run(
         [sys.executable, "-c", IMPORT_BOUNDARY_SCRIPT, str(tmp_path), str(net_file)],
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
-    assert report == {"import": False, "svd": False, "eigen_runner_entry": True,
-                      "codes": [0, 0, 0]}
+    assert report == {"import": False, "svd_runner_entry": False, "svd": False,
+                      "eigen_runner_entry": True, "codes": [0, 0, 0]}

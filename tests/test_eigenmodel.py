@@ -8,6 +8,7 @@ from stiefel_mcmc.frames import frame_defect, random_uniform_frame
 
 from oracles import (
     HALF_NORMAL_MEAN,
+    eigen_gibbs_direct,
     lambda_moments_quadratic_forms,
     theta_moments_triangle,
     zfill_probit_per_call,
@@ -258,6 +259,21 @@ class TestRun:
         with pytest.raises(InputError, match="saves no draw"):
             em.run_eigenmodel_gibbs(net, hyper, iters=iters, burn=burn,
                                     thin=thin, rng=rng)
+
+    def test_matches_direct_oracle(self):
+        # 40 saved draws at R = 2: one full block of 32 draws and one of 8
+        net, _ = small_net(20)
+        hyper = em.EigenHyperParams(t2_lambda=float(net.n), t2_theta=100.0,
+                                    rank=2)
+        res = em.run_eigenmodel_gibbs(net, hyper, iters=90, burn=10, thin=2,
+                                      rng=np.random.default_rng(21))
+        lam, theta, m_bar = eigen_gibbs_direct(net, hyper, 90, 10, 2,
+                                               np.random.default_rng(21))
+        assert res.saved_count == 40
+        np.testing.assert_array_equal(res.lambda_trace, lam)
+        np.testing.assert_array_equal(res.theta_trace, theta)
+        np.testing.assert_allclose(res.m_bar, m_bar, rtol=1e-12,
+                                   atol=1e-12 * np.abs(m_bar).max())
 
     def test_lambda_trace_sorted_ascending(self):
         net, rng = small_net(15)
