@@ -19,7 +19,7 @@ and B = diag(lambda)/2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -93,29 +93,13 @@ class EigenHyperParams:
 
 @dataclass(frozen=True)
 class EigenmodelState:
+    """Stepped by the updates through ``dataclasses.replace``; what builds
+    it checks its inputs, so it has no checks of its own."""
+
     Z: np.ndarray
     U: OrthonormalFrame
     lam: np.ndarray
     theta: float
-
-    def __post_init__(self):
-        z = np.asarray(self.Z, dtype=np.float64)
-        lam = np.atleast_1d(np.asarray(self.lam, dtype=np.float64))
-        if z.shape != (self.U.rows, self.U.rows):
-            raise DimensionError("Z must be n x n with n = rows of U")
-        if lam.shape != (self.U.cols,):
-            raise DimensionError("lambda must have one entry per column of U")
-        object.__setattr__(self, "Z", z)
-        object.__setattr__(self, "lam", lam)
-
-    def _with(self, **changes) -> "EigenmodelState":
-        """``dataclasses.replace`` for the Gibbs updates, without the
-        checks of ``__post_init__``: each update hands back a value of the
-        type and shape of the one it replaces, and ``replace`` with the
-        checks costs about 6 us, four times per iteration."""
-        new = object.__new__(EigenmodelState)
-        new.__dict__.update(self.__dict__, **changes)
-        return new
 
     def factor_matrix(self) -> np.ndarray:
         """U Lambda U', the latent low-rank part of the edge propensities."""
@@ -154,7 +138,7 @@ def theta_conditional_moments(state: EigenmodelState,
 def update_theta(state: EigenmodelState, hyper: EigenHyperParams,
                  rng: np.random.Generator) -> EigenmodelState:
     mean, var = theta_conditional_moments(state, hyper)
-    return state._with(theta=float(rng.normal(mean, math.sqrt(var))))
+    return replace(state, theta=float(rng.normal(mean, math.sqrt(var))))
 
 
 def lambda_conditional_moments(state: EigenmodelState,
@@ -175,13 +159,13 @@ def lambda_conditional_moments(state: EigenmodelState,
 def update_lambda(state: EigenmodelState, hyper: EigenHyperParams,
                   rng: np.random.Generator) -> EigenmodelState:
     mean, var = lambda_conditional_moments(state, hyper)
-    return state._with(lam=rng.normal(mean, math.sqrt(var)))
+    return replace(state, lam=rng.normal(mean, math.sqrt(var)))
 
 
 def update_u(state: EigenmodelState, rng: np.random.Generator) -> EigenmodelState:
     new_u = sample_bingham_matrix_gibbs(state.Z - state.theta, state.lam / 2.0,
                                         state.U, rng)
-    return state._with(U=new_u)
+    return replace(state, U=new_u)
 
 
 def gibbs_iteration(state: EigenmodelState, y: SymmetricBinaryNetwork,
@@ -190,7 +174,7 @@ def gibbs_iteration(state: EigenmodelState, y: SymmetricBinaryNetwork,
     """One Gibbs iteration given the network: Z, theta, lambda, U in that
     order, each from its full conditional."""
     z = sample_z_full_conditional(y, state.theta + state.factor_matrix(), rng)
-    state = update_theta(state._with(Z=z), hyper, rng)
+    state = update_theta(replace(state, Z=z), hyper, rng)
     state = update_lambda(state, hyper, rng)
     return update_u(state, rng)
 

@@ -174,7 +174,9 @@ def mf_vector(c: np.ndarray, rng: np.random.Generator,
     else:
         q = m - others.shape[1]
         c = _project_off(c, others)
-    kappa = float(np.linalg.norm(c))
+    # an overflowing |c| is inf, which the check below reports by name
+    with np.errstate(over="ignore"):
+        kappa = float(np.linalg.norm(c))
     if not math.isfinite(kappa):
         raise InputError(f"von Mises-Fisher parameter norm {kappa} is not finite")
     if q == 1:

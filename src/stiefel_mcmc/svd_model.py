@@ -45,19 +45,14 @@ class SvdHyperParams:
 
 @dataclass(frozen=True)
 class SvdModelState:
+    """Stepped by the updates through ``dataclasses.replace``; what builds
+    it checks its inputs, so it has no checks of its own."""
+
     U: OrthonormalFrame
     V: OrthonormalFrame
     d: np.ndarray
     sigma2: float
     tau2: float
-
-    def __post_init__(self):
-        d = np.atleast_1d(np.asarray(self.d, dtype=np.float64))
-        if d.shape != (self.U.cols,) or self.V.cols != self.U.cols:
-            raise DimensionError("U, V and d disagree on the rank R")
-        if not (self.sigma2 > 0 and self.tau2 > 0):
-            raise InputError("sigma2 and tau2 must be strictly positive")
-        object.__setattr__(self, "d", d)
 
     @property
     def rank(self) -> int:
@@ -117,8 +112,9 @@ def mle_init(y, rank: int) -> SvdModelState:
 
 def mf_parameter_for_u(state: SvdModelState, y: np.ndarray) -> np.ndarray:
     """Y V D / sigma^2, the MF parameter of the U full conditional; y is
-    the data matrix as a float ndarray."""
-    return y @ (state.V.entries * state.d) / state.sigma2
+    the data matrix as a float ndarray, formed as ((V D / sigma^2)' Y')'
+    like Y'U in ``gibbs_iteration``."""
+    return ((state.V.entries * (state.d / state.sigma2)).T @ y.T).T
 
 
 def mf_parameter_for_v(state: SvdModelState, yu: np.ndarray) -> np.ndarray:
@@ -205,10 +201,12 @@ def gibbs_iteration(state: SvdModelState, y: np.ndarray, y_sq: float,
 
     y is the data matrix as a float ndarray, read by two products:
     Y V D / sigma^2 for the U update, and Y'U, formed once after it, for
-    everything else. y_sq is |Y|^2.
+    everything else. y_sq is |Y|^2. Both products are formed as the
+    transpose of (R-column factor)' times y or y', the orientation in
+    which BLAS reads a row-major y fastest (docs/decisions.md).
     """
     state = update_u(state, y, rng)
-    yu = y.T @ state.U.entries
+    yu = (state.U.entries.T @ y).T
     state = update_v(state, yu, rng)
     state = update_d(state, yu, rng)
     return update_variances(state, y, yu, y_sq, hyper, rng)

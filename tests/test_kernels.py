@@ -1,4 +1,5 @@
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
@@ -219,14 +220,19 @@ def test_mf_vector_returns_at_huge_concentration(kappa, q, deadline):
         assert u[-1] > 1.0 - 1e-6
 
 
-@pytest.mark.parametrize("scale", [1e200, 1e308])
-def test_mf_vector_raises_when_the_norm_overflows(scale, deadline):
+@pytest.mark.parametrize("scale, others", [
+    (1e200, None), (1e308, None), (1e200, np.eye(3)[:, :1])],
+    ids=["1e+200", "1e+308", "1e+200-others"])
+def test_mf_vector_raises_when_the_norm_overflows(scale, others, deadline):
     # |c| overflows to inf, so Wood's b is 0 and the acceptance test
-    # compared NaNs forever
+    # compared NaNs forever; the named error comes out with no NumPy
+    # warning before it
     c = np.zeros(3)
     c[-1] = scale
-    with deadline(10.0), pytest.raises(InputError, match="not finite"):
-        kernels.mf_vector(c, np.random.default_rng(16))
+    with (deadline(10.0), pytest.raises(InputError, match="not finite"),
+          warnings.catch_warnings()):
+        warnings.simplefilter("error", RuntimeWarning)
+        kernels.mf_vector(c, np.random.default_rng(16), others)
 
 
 # sha256 prefixes of 200 draws per case, recorded from the kernel before it
