@@ -80,9 +80,10 @@ def cmd_svd_sim(cfg) -> int:
     return EXIT_OK
 
 
-def _log_chain_rate(chain: int, iters: int, seconds: float) -> None:
-    log.info("chain %d: %d Gibbs iterations in %.3f s (%.1f iterations/s)",
-             chain, iters, seconds, iters / seconds)
+def _log_chain_rate(chain: int, iters: int, seconds: float,
+                    diagnostics: str = "") -> None:
+    log.info("chain %d: %d Gibbs iterations in %.3f s (%.1f iterations/s)%s",
+             chain, iters, seconds, iters / seconds, diagnostics)
 
 
 def _svd_fit_chain(cfg, chain: int, rng, out: Path, y, hyper) -> None:
@@ -143,7 +144,9 @@ def _eigen_fit_chain(cfg, chain: int, rng, out: Path, net, hyper, cov) -> None:
     start = time.perf_counter()
     result = eigenmodel.run_eigenmodel_gibbs(net, hyper, cfg.iters, cfg.burn,
                                              cfg.thin, rng)
-    _log_chain_rate(chain, cfg.iters, time.perf_counter() - start)
+    diagnostics = result.counts.report()
+    _log_chain_rate(chain, cfg.iters, time.perf_counter() - start, "".join(
+        f", {key} {round(value, 2)}" for key, value in diagnostics.items()))
     positions, eigvals = eigenmodel.latent_positions(result.m_bar, cfg.rank)
     scaled = positions * np.sqrt(np.abs(eigvals))
 
@@ -165,7 +168,8 @@ def _eigen_fit_chain(cfg, chain: int, rng, out: Path, net, hyper, cov) -> None:
                          _chain_manifest(cfg, chain,
                                          {"n": net.n, "t2_lambda": hyper.t2_lambda,
                                           "saved_count": result.saved_count,
-                                          "eigenvalues": [float(v) for v in eigvals]}))
+                                          "eigenvalues": [float(v) for v in eigvals],
+                                          "u_sweeps": diagnostics}))
 
 
 def cmd_eigen_fit(cfg) -> int:

@@ -162,21 +162,22 @@ def update_lambda(state: EigenmodelState, hyper: EigenHyperParams,
     return replace(state, lam=rng.normal(mean, math.sqrt(var)))
 
 
-def update_u(state: EigenmodelState, rng: np.random.Generator) -> EigenmodelState:
+def update_u(state: EigenmodelState, rng: np.random.Generator,
+             counts=None) -> EigenmodelState:
     new_u = sample_bingham_matrix_gibbs(state.Z - state.theta, state.lam / 2.0,
-                                        state.U, rng)
+                                        state.U, rng, counts)
     return replace(state, U=new_u)
 
 
 def gibbs_iteration(state: EigenmodelState, y: SymmetricBinaryNetwork,
-                    hyper: EigenHyperParams,
-                    rng: np.random.Generator) -> EigenmodelState:
+                    hyper: EigenHyperParams, rng: np.random.Generator,
+                    counts=None) -> EigenmodelState:
     """One Gibbs iteration given the network: Z, theta, lambda, U in that
-    order, each from its full conditional."""
+    order, each from its full conditional; `counts` is the U sweep's."""
     z = sample_z_full_conditional(y, state.theta + state.factor_matrix(), rng)
     state = update_theta(replace(state, Z=z), hyper, rng)
     state = update_lambda(state, hyper, rng)
-    return update_u(state, rng)
+    return update_u(state, rng, counts)
 
 
 def initial_state(y: SymmetricBinaryNetwork, hyper: EigenHyperParams,
@@ -212,6 +213,7 @@ class EigenGibbsResult:
     theta_trace: np.ndarray    # (saved,)
     m_bar: np.ndarray          # posterior mean of U Lambda U'
     saved_iters: np.ndarray    # (saved,), the iteration number of each row
+    counts: kernels.DrawCounts  # the U sweeps' proposals, fallbacks and repairs
 
     @property
     def saved_count(self) -> int:
@@ -223,10 +225,12 @@ def run_eigenmodel_gibbs(y: SymmetricBinaryNetwork, hyper: EigenHyperParams,
                          rng: np.random.Generator,
                          check_constraints: bool = False) -> EigenGibbsResult:
     """``samplers.run_chain`` from ``initial_state``, saving sorted lambda
-    and theta. check_constraints=True re-validates the sign pattern of Z
-    against the observed network every iteration (test mode)."""
+    and theta and counting the U sweeps' diagnostics. check_constraints=True
+    re-validates the sign pattern of Z every iteration (test mode)."""
+    counts = kernels.DrawCounts()
+
     def step(state):
-        state = gibbs_iteration(state, y, hyper, rng)
+        state = gibbs_iteration(state, y, hyper, rng, counts)
         if check_constraints:
             check_sign_constraints(y, state.Z)
         return state
@@ -237,7 +241,7 @@ def run_eigenmodel_gibbs(y: SymmetricBinaryNetwork, hyper: EigenHyperParams,
                    s.U.entries),
         iters, burn, thin)
     return EigenGibbsResult(lambda_trace=trace[:, :-1], theta_trace=trace[:, -1],
-                            m_bar=m_bar, saved_iters=saved)
+                            m_bar=m_bar, saved_iters=saved, counts=counts)
 
 
 def latent_positions(m_bar: np.ndarray, rank: int) -> tuple[np.ndarray, np.ndarray]:

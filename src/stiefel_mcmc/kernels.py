@@ -9,16 +9,19 @@ take the other columns of a frame as `others` and draw on the sphere of
 their orthogonal complement without forming a basis of it. ``BACKEND``
 names this implementation and is recorded in CLI run manifests.
 
-The Bingham kernel's per-draw work is a few dozen operations on
-n-vectors and n x k matrices, where call overhead outweighs arithmetic.
-Its products are written ``a.dot(b)``: at n = 50 the method costs about
-half as much per call as ``a @ b``, which also does not hand a product
-with a one-long inner dimension (the kriging outer product at k = 1) to
-BLAS and takes about four times as long over it.
+The Bingham kernel's per-draw work at n = 50 is a few dozen operations
+on n-vectors and n x n matrices and a few LAPACK calls, where call
+overhead outweighs arithmetic. Its products are written ``a.dot(b)``: at
+n = 50 the method costs about half as much per call as ``a @ b``, which
+also does not hand a product with a one-long inner dimension (an outer
+product at k = 1) to BLAS and takes about four times as long over it.
 """
 from __future__ import annotations
 
+import itertools
 import math
+from collections.abc import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,18 +43,40 @@ __all__ = [
 # means bad input, such as a non-finite entry.
 ACG_NEWTON_MAX_STEPS = 64
 
-# Grid points per bisection pass when locating the complement's spectral
-# floor; all of a pass is tested in one batch of NumPy operations. The
-# points sit this fraction of a step (2 - golden ratio) below the grid.
-FLOOR_GRID = 32
-FLOOR_GRID_OFFSET = 0.3819660112501051
+# Bingham proposals drawn, solved and tested together; a draw tests
+# about 5 at n = 50.
+PROPOSAL_BATCH = 8
 
-# Largest shift of the complement's envelope, in units of b, that the
-# rank-l downdate resolves: its precision entries reach -2t/b, and
-# S^-1 = 1/(1 - g_B) - H_BB loses about eps * (2t/b)^1.5 of its value,
-# 2e-4 here. Beyond it the proposal is no longer the stated Gaussian, so
-# the kernel raises instead of drawing.
-MAX_SHIFT_OVER_B = 5e7
+# The Lanczos run for the envelope's shift stops once a step raises the
+# top Ritz value by at most RITZ_TOL * beta (at 1/16 it stopped 8 below
+# the top of a flat spectrum, and the factorization failed).
+RITZ_TOL = 1.0 / 64.0
+LANCZOS_MAX_STEPS = 32
+
+# Largest max(|mu|, |a|_F) / beta. Omega's entries near the top of the
+# spectrum, 1 + 2(mu - lambda)/beta, are differences of numbers up to twice
+# that ratio, so its weakest direction carries a relative error of up to
+# about eps * 2e10 = 4.4e-6 (see docs/decisions.md).
+MAX_SHIFT_OVER_B = 1e10
+
+
+@dataclass
+class DrawCounts:
+    """A chain's Bingham diagnostics: column draws that tested proposals,
+    proposals tested in all and at most in one draw, draws whose shift
+    took the bisection fallback, and frame repairs."""
+
+    draws: int = 0
+    proposals: int = 0
+    max_proposals: int = 0
+    shift_fallbacks: int = 0
+    frame_repairs: int = 0
+
+    def report(self) -> dict:
+        return {"proposals_per_draw_mean": self.proposals / max(self.draws, 1),
+                "proposals_per_draw_max": self.max_proposals,
+                "shift_fallbacks": self.shift_fallbacks,
+                "frame_repairs": self.frame_repairs}
 
 
 def sample_sphere(m: int, rng: np.random.Generator,
@@ -225,228 +250,196 @@ def mf_vector(c: np.ndarray, rng: np.random.Generator,
     return u / np.linalg.norm(u)
 
 
-def bingham_spectral(lam: np.ndarray, rng: np.random.Generator,
-                     others: np.ndarray | None = None) -> np.ndarray:
-    """Exact draw y with density prop-to exp(sum_i lam_i y_i^2) on a sphere.
+def bingham_spectral(a: np.ndarray, rng: np.random.Generator,
+                     others: np.ndarray | None = None,
+                     start: np.ndarray | None = None,
+                     counts: DrawCounts | None = None) -> np.ndarray:
+    """Exact draw y with density prop-to exp(y'ay) on a sphere, a symmetric.
 
-    Without `others`, y ranges over the unit sphere S^{q-1} of R^q, q =
-    len(lam). Given an n x k matrix `others` with orthonormal columns,
-    n = len(lam), y ranges over the unit sphere of their orthogonal
-    complement, of dimension q - 1 with q = n - k, and no basis of that
-    complement is formed.
+    Without `others`, y ranges over the unit sphere of R^n; given an n x k
+    matrix W = `others` with orthonormal columns, over the unit sphere of
+    their complement (q = n - k), where y'ay = y'Cy, C = PaP, P = I - WW'.
+    Nothing is decomposed and no basis of the complement is formed.
 
     Rejection from an angular-central-Gaussian envelope (Kent, Ganeiber &
-    Mardia 2018). With lam_hat = max(lam) - lam >= 0, a shift t and
-    s = sum_i lam_hat_i y_i^2, the target is prop-to exp(-(s - t)); the
-    proposal is y = x/|x| with x Gaussian on the sphere's span with
-    precision I + 2*(lam_hat - t)/b there, whose direction has density
-    prop-to (1 + 2(s - t)/b)^{-q/2}. The bound
-    exp(-u) (1 + 2u/b)^{q/2} <= exp(-(q-b)/2) (q/b)^{q/2} holds for every
-    b > 0 and u > -b/2, so the draws are exact for any b and any t for
-    which that precision is positive definite; b and t only set the
-    acceptance rate. b solves sum_i 1/(b + 2*mu_i) = 1 for a spectrum mu
-    with minimum 0 (Newton's method, see ``_acg_envelope_parameter``).
-
-    Without `others`, mu = lam_hat, t = 0 and each proposal takes one
-    ``standard_normal(q)`` and one ``random()``. Given `others`, mu
-    approximates the complement's spectrum
-    (``_complement_envelope_parameter``), x is drawn on R^n and
-    conditioned on others'x = 0 by kriging, and t is the smallest value of
-    s on the complement (``_complement_floor``) when the other columns
-    hold the top of the spectrum, else 0; entries with precision below 1
-    then enter through a rank-l correction (see ``_kriged_proposal``).
-    Each proposal takes one ``standard_normal(n + l)``, mapped to x by one
-    matrix product, and one ``random()``. Raises InputError when the shift exceeds
-    ``MAX_SHIFT_OVER_B`` times b, beyond which double precision cannot
-    represent the proposal.
+    Mardia 2018): y = Px/|Px| with x ~ N(0, Omega^-1), where Omega is
+    (1 + 2 mu/beta) I - (2/beta) C on the complement and I on span(W). The
+    draw is exact for every mu and beta > 0 that make Omega positive
+    definite, so a successful Cholesky factorization certifies it; mu and
+    beta (``_envelope``) set only the acceptance rate, and when the
+    factorization fails mu is raised by bisection toward a Gershgorin
+    bound. Each batch of PROPOSAL_BATCH proposals is one triangular solve;
+    `counts`, if given, records the proposals tested and any fallback.
+    ``scipy.linalg`` loads at the first draw, not with the module. Raises
+    InputError when max(|mu|, |a|_F) > MAX_SHIFT_OVER_B * beta. See
+    docs/decisions.md, "Bingham columns are drawn in A's own basis".
     """
-    lam = np.asarray(lam, dtype=np.float64)
-    n = lam.shape[0]
+    from scipy.linalg.blas import dsyr2k
+    from scipy.linalg.lapack import dpotrf, dtrtrs
+
+    a = np.asarray(a, dtype=np.float64)
+    n = a.shape[0]
     q = n if others is None else n - others.shape[1]
-    if q == 1 and others is None:
-        return np.array([1.0 if rng.random() < 0.5 else -1.0])
-    lam_hat = lam.max() - lam
-    if q == 1 or not lam_hat.any():
+    flat = a.ravel()
+    a_sq = float(flat.dot(flat))
+    if q == 1 or not a_sq:
         return sample_sphere(n, rng, others)
     if others is None:
-        b = _acg_envelope_parameter(lam_hat)
-        t = 0.0
-        scale = 1.0 / np.sqrt(1.0 + 2.0 * lam_hat / b)
+        trace, c_sq = float(a.trace()), a_sq
     else:
-        b = _complement_envelope_parameter(lam_hat, others)
-        t = _complement_floor(lam_hat, others, b)
-        if t > MAX_SHIFT_OVER_B * b:
-            raise InputError(
-                f"column conditional too concentrated for double precision: "
-                f"its spectral floor {t:.3g} is {t / b:.3g} times the envelope "
-                f"constant (at most {MAX_SHIFT_OVER_B:.0e})")
-        kriging = _kriged_proposal(lam_hat, others, b, t)
-    log_m = 0.5 * (b - q) + 0.5 * q * math.log(q / b)
-    while True:
-        if others is None:
-            x = rng.standard_normal(n) * scale
-        else:
-            x = kriging.dot(rng.standard_normal(kriging.shape[1]))
-        nrm2 = float(x.dot(x))
-        if nrm2 <= 1e-24:
-            continue
-        u = float((x * x).dot(lam_hat)) / nrm2 - t  # u = s - t, s = sum_i lam_hat_i y_i^2
-        if np.log(rng.random()) < 0.5 * q * math.log1p(2.0 * u / b) - u - log_m:
-            if others is None:
-                return x / math.sqrt(nrm2)
-            x = _project_off(x, others)
-            return x / math.sqrt(x.dot(x))
+        # C = a - WG' - GW' with G = aW - W(W'aW)/2, never formed
+        aw = a.dot(others)
+        waw = others.T.dot(aw)
+        g = aw - 0.5 * others.dot(waw)
+        trace = float(a.trace()) - float(waw.trace())
+        c_sq = a_sq - 2.0 * float((aw * aw).sum()) + float((waw * waw).sum())
+    mu, beta = _envelope(a, others, start, q, trace, c_sq)
+    scale = max(abs(mu), math.sqrt(a_sq))
+    if scale > MAX_SHIFT_OVER_B * beta:
+        raise InputError(f"column conditional too concentrated for double precision: "
+                         f"its scale {scale:.3g} is {scale / beta:.3g} times the "
+                         f"envelope constant (at most {MAX_SHIFT_OVER_B:.0e})")
+
+    def factor(shift):
+        # Omega = d I - (2/beta) a + WH' + HW', d = 1 + 2 shift/beta,
+        # H = (2/beta) G + (1 - d) W/2: one triangle, handed to LAPACK as
+        # the transpose, which for C-ordered a is Fortran-ordered, uncopied
+        d = 1.0 + 2.0 * shift / beta
+        omega = a * (-2.0 / beta)
+        omega.flat[::n + 1] += d
+        omega = omega.T
+        if others is not None:
+            omega = dsyr2k(1.0, others.T, ((2.0 / beta) * g + 0.5 * (1.0 - d) * others).T,
+                           beta=1.0, c=omega, trans=1, lower=1, overwrite_c=1)
+        chol, info = dpotrf(omega, lower=1, clean=0, overwrite_a=1)
+        return chol if info == 0 else None
+
+    chol = factor(mu)
+    if chol is None:
+        # a failure at lo puts C's top above lo + beta/2; Omega >= I at hi.
+        # The guard bounds (hi - lo)/beta, so this takes at most ~40 halvings
+        lo = mu
+        hi = float((np.abs(a).sum(axis=1) - np.abs(a.diagonal()) + a.diagonal()).max())
+        while hi - lo > 0.25 * beta:
+            mid = 0.5 * (lo + hi)
+            if factor(mid) is None:
+                lo = mid
+            else:
+                hi = mid
+        chol = factor(min(hi, lo + 0.75 * beta))  # at most beta/4 above the top
+        if chol is None:
+            raise InputError("the ACG envelope's precision is not positive "
+                             f"definite at the shift {min(hi, lo + 0.75 * beta):.6g}")
+        if counts is not None:
+            counts.shift_fallbacks += 1
+    log_m = 0.5 * (beta - q) + 0.5 * q * math.log(q / beta)
+    for tested in itertools.count(0, PROPOSAL_BATCH):
+        z = rng.standard_normal((PROPOSAL_BATCH, n))
+        zz = (z * z).sum(axis=1)
+        x = dtrtrs(chol, z.T, lower=1, trans=1, overwrite_b=1)[0]
+        if others is not None:
+            wx = others.T.dot(x)
+            x -= others.dot(wx)
+            zz -= (wx * wx).sum(axis=0)
+        r = zz / (x * x).sum(axis=0)  # y'Dy = 1 + 2s/beta for each proposal
+        passed = (np.log(rng.random(PROPOSAL_BATCH))
+                  < 0.5 * q * np.log(r) - 0.5 * beta * (r - 1.0) - log_m)
+        if passed.any():
+            first = int(passed.argmax())
+            if counts is not None:
+                counts.draws += 1
+                counts.proposals += tested + first + 1
+                counts.max_proposals = max(counts.max_proposals, tested + first + 1)
+            y = x[:, first]
+            if others is not None:
+                y -= others.dot(y.dot(others))
+            return y / math.sqrt(y.dot(y))
 
 
-def _complement_envelope_parameter(lam_hat: np.ndarray,
-                                   others: np.ndarray) -> float:
-    """b for the envelope on the complement of `others`: the root of
-    ``_acg_envelope_parameter`` for lam_hat without the k entries whose
-    axes lie most inside the span of the k columns, shifted to its minimum.
-    That is the complement's own spectrum, shifted to its floor, when the
-    columns are coordinate axes, and close to it when they hold most of the
-    top of the spectrum, where the root for all of lam_hat is far too
-    small: its zero entry is the axis the columns hold."""
-    k = others.shape[1]
-    inside = np.einsum("ij,ij->i", others, others)
-    kept = lam_hat[np.argpartition(inside, lam_hat.shape[0] - k)[:-k]]
-    kept = kept - kept.min()
-    # b for an approximate spectrum needs no last digits: stopping at a
-    # step of 1e-6 b saves 1.3 of 5.5 Newton steps on eigen-paper draws
-    return (_acg_envelope_parameter(kept, rtol=1e-6) if kept.any()
-            else float(kept.shape[0]))
+def _envelope(a: np.ndarray, others: np.ndarray | None, start: np.ndarray | None,
+              q: int, trace: float, c_sq: float) -> tuple[float, float]:
+    """(mu, beta): the top Ritz value of a Lanczos run on C = PaP from
+    `start` (by default an axis), stopped once a step raises it by at most
+    RITZ_TOL * beta, and the envelope constant of a three-node quadrature
+    of C's spectrum on the complement from its sum `trace` and sum of
+    squares `c_sq`: the top at mu, the other q - 1 at their mean plus and
+    minus their standard deviation. Orthogonalizing each new vector
+    against W's columns as well applies P."""
+    from scipy.linalg.lapack import dsterf
+
+    rest = q - 1
+
+    def quadrature_beta(top):
+        mean = (trace - top) / rest
+        sd = math.sqrt(max((c_sq - top * top) / rest - mean * mean, 0.0))
+        return _acg_envelope_parameter(
+            (0.0, max(top - mean - sd, 0.0), max(top - mean + sd, 0.0)),
+            (1.0, 0.5 * rest, 0.5 * rest), rtol=1e-6)
+
+    k = 0 if others is None else others.shape[1]
+    steps = min(rest, LANCZOS_MAX_STEPS)
+    basis = np.empty((k + steps + 2, a.shape[0]))  # W's columns, then the run's
+    if start is None:
+        start = np.zeros(a.shape[0])
+        start[np.argmax(a.diagonal()) if others is None
+              else np.argmin((others * others).sum(axis=1))] = 1.0
+    if k:
+        basis[:k] = others.T
+        start = _project_off(start, others)
+    basis[k] = start / math.sqrt(start.dot(start))
+    diag, offdiag = np.empty(steps + 1), np.empty(steps + 1)
+    beta, ritz = None, 0.0
+    tiny = 1e-12 * math.sqrt(max(c_sq, 0.0))
+    for m in range(steps + 1):
+        vs = basis[:k + m + 1]
+        w = a.dot(vs[-1])
+        coef = vs.dot(w)
+        diag[m] = coef[-1]
+        top = float(dsterf(diag[:m + 1], offdiag[:m])[0][-1] if m else diag[0])
+        change, ritz = top - ritz, top
+        if m and (beta is None or change <= RITZ_TOL * beta):
+            beta = quadrature_beta(ritz)
+            if change <= RITZ_TOL * beta:
+                return ritz, beta
+        w -= coef.dot(vs)
+        norm = math.sqrt(w.dot(w))
+        if norm <= tiny:
+            break
+        offdiag[m] = norm
+        basis[k + m + 1] = w / norm
+    return ritz, quadrature_beta(ritz)
 
 
-def _complement_floor(lam_hat: np.ndarray, others: np.ndarray,
-                      b: float) -> float:
-    """The shift t for the envelope on the complement of `others`: 0 when
-    delta <= b/4, else a lower bound on delta within b/8. delta is the
-    smallest value of s = y' diag(lam_hat) y over unit y orthogonal to the
-    columns W of `others`, the smallest eigenvalue of the compression C of
-    diag(lam_hat) to their complement; it is positive only when W holds
-    the top of the spectrum.
+def _acg_envelope_parameter(lam_hat: Sequence[float],
+                            weights: Sequence[float] | None = None,
+                            rtol: float = 1e-15) -> float:
+    """Solve F(b) = sum_i w_i/(b + 2 lam_hat_i) = 1 for b in [1, q], q = sum_i w_i.
 
-    The Rayleigh quotient rq of the top axis e (the entry where lam_hat
-    is 0) projected off W bounds delta from above: with w = W'e it is
-    w'W' diag(lam_hat) W w / (1 - |w|^2). That settles the common case in
-    O(nk^2). Otherwise delta lies in [0, min(rq, lam_hat_(k+1))], with
-    lam_hat_(k+1) the (k+1)-th smallest entry (by interlacing), and is
-    found by grid bisection on the test sigma < delta, which holds
-    exactly when C - sigma is positive definite: with
-    G = diag(lam_hat) - sigma and K = W'G^-1 W, the inertia of the
-    bordered matrix [[G, W], [W', 0]] gives #neg(C - sigma) =
-    #neg(G) - #neg(K) whenever G and K are nonsingular, so the test is
-    #neg(G) == #neg(K), read off the pivots of K's LDL' factorization.
-    Each pass tests FLOOR_GRID points in one batch, offset from the
-    bracket's grid by an irrational fraction of a step so that no point
-    meets an entry of lam_hat (a pole of G^-1) on evenly spaced spectra.
+    lam_hat >= 0 has a zero entry of weight at least 1 (the maximum of
+    lam); weights default to 1, and others let a few nodes stand for a
+    spectrum (the kernel passes three, hence plain loops). Newton's method
+    from b = 1 on h(b) = 1/F(b) - 1: q/F is a weighted harmonic mean of the
+    b + 2 lam_hat_i, which is concave, so h is increasing and concave, and
+    h(1) <= 0 because F(1) >= 1. Every tangent lies above h, so the
+    iterates rise monotonically to the root. The step F (F - 1) / sum_i
+    w_i d_i^2, d_i = 1/(b + 2 lam_hat_i), is F >= 1 times Newton's step on
+    F - 1. Stops once a step is at most rtol * b; raises rather than return
+    an unconverged b. Any b > 0 keeps the envelope valid, so the root's
+    last bits change only the acceptance rate, not the law of the draws.
     """
-    top = others[int(np.argmin(lam_hat))]
-    free = 1.0 - float(top.dot(top))
-    rq = (float(top.dot((lam_hat * others.dot(top)).dot(others))) / free
-          if free > 0.0 else math.inf)
-    if rq <= 0.25 * b:
-        return 0.0
-    k = others.shape[1]
-    lo, hi = 0.0, min(rq, float(np.partition(lam_hat, k)[k]))
-    offsets = (np.arange(1, FLOOR_GRID + 1) - FLOOR_GRID_OFFSET) / FLOOR_GRID
-    # K = W'G^-1 W for every grid point at once: the row of 1/g times the
-    # k^2 products w_ni w_nj of each row n of W
-    outer = (others[:, :, None] * others[:, None, :]).reshape(-1, k * k)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        while hi - lo > 0.125 * b:
-            sigma = lo + (hi - lo) * offsets
-            g = lam_hat - sigma[:, None]
-            kk = (1.0 / g).dot(outer).reshape(FLOOR_GRID, k, k)
-            neg = np.zeros(FLOOR_GRID, dtype=np.intp)
-            for p in range(k):
-                piv = kk[:, p, p]
-                neg += piv < 0.0
-                if p + 1 < k:
-                    kk[:, p + 1:, p + 1:] -= (kk[:, p + 1:, p, None]
-                                              * kk[:, None, p, p + 1:]
-                                              / piv[:, None, None])
-            below = np.count_nonzero(g < 0.0, axis=1) == neg
-            m = FLOOR_GRID if below.all() else int(np.argmin(below))
-            if m < FLOOR_GRID:
-                hi = float(sigma[m])
-            if m:
-                lo = float(sigma[m - 1])
-    return lo if lo > 0.125 * b else 0.0
-
-
-def _kriged_proposal(lam_hat: np.ndarray, others: np.ndarray, b: float,
-                     t: float):
-    """Factors for x ~ N(0, (P G P)^+) on the complement of `others`,
-    G = diag(g), g = 1 + 2 (lam_hat - t)/b, P the projector off `others`.
-
-    Entries with g_i < 1 are raised to 1 in D = diag(d). Kriging
-    x0 ~ N(0, D^-1) onto the complement is x = D^-1/2 (I - P_F) z with
-    z ~ N(0, I) and P_F the projector onto the span of F = D^-1/2 W, so x
-    has covariance H = D^-1/2 (I - P_F) D^-1/2. Lowering those l entries
-    back to g_i is a rank-l downdate of the precision, so by Woodbury the
-    covariance becomes H + H_B S H_B' with H_B the columns B of H and
-    S = (diag(1/(1 - g_B)) - H_BB)^-1; x gets H_B w, w ~ N(0, S), added.
-    S exists exactly when P G P is positive definite on the complement,
-    which holds whenever t < delta + b/2 and so for the shift from
-    ``_complement_floor``, which is at most delta. H_B = D^-1/2 R_B and
-    H_BB = R_B'R_B with R_B the axes B projected off span(F), twice: the
-    axes lie almost inside that span when the columns are concentrated,
-    and 1 - |P_F e_B|^2 would lose the digits the difference S^-1 needs;
-    the first projection is e_B - F (F'F)^-1 F_B'. Returns the n x (n + l)
-    matrix M = [D^-1/2 (I - P_F), H_B L^-T] with S^-1 = L L', so that
-    x = M z with z ~ N(0, I) has covariance H + H_B S H_B'.
-    """
-    n = lam_hat.shape[0]
-    g = 1.0 + 2.0 * (lam_hat - t) / b
-    sd = 1.0 / np.sqrt(np.maximum(g, 1.0))
-    f = others * sd[:, None]
-    fk = _solve_small(f.T.dot(f), f.T)
-    kriged = (f * sd[:, None]).dot(-fk)
-    kriged.flat[::n + 1] += sd
-    low = (g < 1.0).nonzero()[0]
-    if not low.size:
-        return kriged
-    r_b = f.dot(-fk[:, low])
-    r_b[low, np.arange(low.size)] += 1.0
-    r_b -= f.dot(fk.dot(r_b))
-    s_inv = np.diag(1.0 / (1.0 - g[low])) - r_b.T.dot(r_b)
-    chol = np.linalg.cholesky(0.5 * (s_inv + s_inv.T))
-    return np.concatenate([kriged, _solve_small(chol, (sd[:, None] * r_b).T).T],
-                          axis=1)
-
-
-def _solve_small(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """a^-1 rhs for a small nonsingular a. A 1 x 1 system, which every
-    column of a rank-2 fit meets, is one division: ``np.linalg.solve``
-    costs about eight times as much in call overhead at that size."""
-    return rhs / a[0, 0] if a.shape[0] == 1 else np.linalg.solve(a, rhs)
-
-
-def _acg_envelope_parameter(lam_hat: np.ndarray, rtol: float = 1e-15) -> float:
-    """Solve F(b) = sum_i 1/(b + 2 lam_hat_i) = 1 for b in [1, q].
-
-    lam_hat >= 0 with at least one zero entry (the maximum of lam) and at
-    least one positive one. Newton's method from b = 1 on h(b) = 1/F(b) - 1:
-    q/F is the harmonic mean of the b + 2 lam_hat_i, which is concave, so h
-    is increasing and concave, and h(1) <= 0 because F(1) >= 1. Every tangent
-    lies above h, so every iterate stays at or below the root and they
-    rise monotonically to it. The step F (F - 1) / sum_i w_i^2, with
-    w_i = 1/(b + 2 lam_hat_i), is F >= 1 times Newton's step on F - 1, so
-    it takes fewer steps. Stops once a step is at most rtol * b; raises
-    rather than return an unconverged b. Any b in (0, q] keeps the
-    envelope valid, so the root's last bits change only the acceptance
-    rate, not the law of the draws.
-    """
-    two_lam = 2.0 * lam_hat
+    two_lam = [2.0 * float(x) for x in lam_hat]
+    weights = [1.0] * len(two_lam) if weights is None else list(weights)
     b = 1.0
     for _ in range(ACG_NEWTON_MAX_STEPS):
-        w = 1.0 / (b + two_lam)
-        f = float(w.sum())
-        step = f * (f - 1.0) / float(w.dot(w))
+        f = slope = 0.0
+        for t, w in zip(two_lam, weights):
+            d = 1.0 / (b + t)
+            f += w * d
+            slope += w * d * d
+        step = f * (f - 1.0) / slope
         b += step
         if step <= rtol * b:
             return b
     raise RuntimeError(
         f"ACG envelope constant did not converge in {ACG_NEWTON_MAX_STEPS} "
-        f"Newton steps (q={lam_hat.shape[0]}, last b={b!r})")
+        f"Newton steps (nodes={len(two_lam)}, last b={b!r})")

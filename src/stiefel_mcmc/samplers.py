@@ -4,9 +4,8 @@ Vector samplers are exact draws:
 
 * ``sample_mf_vector`` -- tangent-normal decomposition with Wood's (1994)
   rejection sampler for the angle cosine.
-* ``sample_bingham_vector`` -- rotation to the eigenbasis of A plus
-  rejection from an angular-central-Gaussian envelope (Kent, Ganeiber &
-  Mardia 2018).
+* ``sample_bingham_vector`` -- rejection from an angular-central-Gaussian
+  envelope (Kent, Ganeiber & Mardia 2018) in A's own basis.
 
 Matrix samplers are column-wise Gibbs kernels: conditional on the other
 columns, column j of a frame is confined to the unit sphere of their
@@ -21,8 +20,7 @@ Both sweeps redraw a column through one kernel contract,
 ``kernels.mf_vector(c, rng, others)`` and
 ``kernels.bingham_spectral(lam, rng, others)``: the kernel is handed the
 other columns and returns a unit vector orthogonal to them, and no basis
-of their complement is formed. The Bingham sweep works in the eigenbasis
-of A, decomposed once per sweep.
+of their complement is formed, and neither sweep decomposes A or C.
 
 Square frames (R = m) are accepted but the sweep degenerates there: each
 column is determined by the others up to sign, so the kernel only flips
@@ -64,24 +62,25 @@ def sample_mf_vector(c: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 
 
 def sample_bingham_vector(A: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Exact draw from density prop-to exp(u'Au) on the unit sphere of R^m."""
-    a = require_symmetric(A)
-    lam, evecs = np.linalg.eigh(a)
-    y = kernels.bingham_spectral(lam, rng)
-    u = evecs @ y
-    return u / np.linalg.norm(u)
+    """Exact draw from density prop-to exp(u'Au) on the unit sphere of R^m:
+    ``kernels.bingham_spectral`` on A centred by its mean diagonal entry."""
+    a = require_symmetric(A).copy()
+    a.flat[::a.shape[0] + 1] -= a.trace() / a.shape[0]
+    return kernels.bingham_spectral(a, rng)
 
 
-def _ensure_frame(entries: np.ndarray) -> OrthonormalFrame:
-    # repair drift instead of failing, and say so; sweeps only compose
-    # orthonormal pieces so this fires rarely even in very long runs. The
-    # frame's own check is the one defect computation of a sweep.
+def _ensure_frame(entries: np.ndarray, counts=None) -> OrthonormalFrame:
+    # repair drift instead of failing, and say so and count it; sweeps only
+    # compose orthonormal pieces so this fires rarely even in very long
+    # runs. The frame's own check is the one defect computation of a sweep.
     try:
         return OrthonormalFrame(entries)
     except ConstraintError:
         log.warning("frame drifted to max |U'U - I| = %.3e > %g; "
                     "re-orthonormalized the %dx%d frame",
                     frame_defect(entries), FRAME_TOL, *entries.shape)
+        if counts is not None:
+            counts.frame_repairs += 1
         return OrthonormalFrame(orthonormalize(entries))
 
 
@@ -150,24 +149,24 @@ def sample_mf_matrix(C: np.ndarray, rng: np.random.Generator) -> OrthonormalFram
 def sample_bingham_matrix_gibbs(A: np.ndarray,
                                 b: np.ndarray,
                                 current: OrthonormalFrame,
-                                rng: np.random.Generator) -> OrthonormalFrame:
+                                rng: np.random.Generator,
+                                counts=None) -> OrthonormalFrame:
     """One Gibbs sweep over columns targeting density prop-to etr(diag(b) U'A U).
 
     A is centered by its mean diagonal entry before anything else; the
     target is invariant under A -> A + aI, and doing the shift up front
     makes the kernel honor that invariance by construction (identical
     random streams give identical output) while also keeping the
-    exponentials well scaled.
+    envelope's shift, and so its cancellation, small.
 
-    The centred A is decomposed once, A = E diag(lam) E', and the sweep
-    holds Ut = E'U. Column j of Ut is redrawn from its full conditional, the
-    vector Bingham law exp(b_j v' diag(lam) v) on the unit sphere
-    orthogonal to the other columns, by
-    ``kernels.bingham_spectral(b_j * lam, rng, others)``; U = E Ut is formed
-    once at the end. One ``eigh`` per sweep; each proposal is one product
-    with the n x (n + l) matrix of ``kernels._kriged_proposal``, O(n^2),
-    built once per column at O(n^2 k), k = R - 1. b_j = 0 gives a uniform
-    draw on that sphere. For R = 1 each sweep is one exact vector draw.
+    Column j is redrawn from its full conditional, the vector Bingham law
+    exp(b_j u'Au) on the unit sphere orthogonal to the other columns, by
+    ``kernels.bingham_spectral(b_j * A, rng, others, u_j, counts)``, whose
+    Lanczos run starts at the column's current value u_j: O(n^2 k) per
+    column (k = R - 1), one Cholesky factorization and O(n^2) per proposal,
+    with no eigendecomposition and no QR. b_j = 0 gives a uniform draw on
+    that sphere. For R = 1 each sweep is one exact vector draw. `counts`,
+    if given, also counts frame repairs.
     """
     a = require_symmetric(A)
     bvec = np.atleast_1d(np.asarray(b, dtype=np.float64))
@@ -185,11 +184,10 @@ def sample_bingham_matrix_gibbs(A: np.ndarray,
     a = a.copy()
     a.flat[::m + 1] -= a.trace() / m
 
-    lam, evecs = np.linalg.eigh(a)
-    ut = _sweep_columns(
-        evecs.T @ current.entries,
-        lambda j, others: kernels.bingham_spectral(bvec[j] * lam, rng, others))
-    return _ensure_frame(evecs @ ut)
+    u = current.entries.copy()
+    _sweep_columns(u, lambda j, others: kernels.bingham_spectral(
+        bvec[j] * a, rng, others, u[:, j], counts))
+    return _ensure_frame(u, counts)
 
 
 # Saved draws stacked into one product of the posterior-mean sum: about

@@ -115,8 +115,8 @@ def bingham_matrix_gibbs_qr(A: np.ndarray, b: np.ndarray, U: np.ndarray,
     """One column sweep targeting etr(diag(b) U'AU), r >= 2, by the
     complete-QR construction: N spans the complement of the other columns,
     z is an exact vector Bingham draw with parameter b_j N'AN on the sphere
-    of R^{m-r+1}, and u_j = N z. The reference for the eigenbasis sweep; it
-    shares only the vector sampler (no other columns), which is checked
+    of R^{m-r+1}, and u_j = N z. The reference for the sweep; it shares
+    only the kernel's path without other columns, which is checked
     against quadrature on its own."""
     from stiefel_mcmc import sample_bingham_vector
 

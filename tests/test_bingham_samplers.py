@@ -12,6 +12,7 @@ from stiefel_mcmc import (
     sample_bingham_vector,
 )
 from stiefel_mcmc.frames import OrthonormalFrame, frame_defect
+from stiefel_mcmc.kernels import DrawCounts
 
 from oracles import (
     BINGHAM2_DIAG3,
@@ -200,8 +201,8 @@ class TestMatrixKernel:
 
 
 # mean ACG proposals per column draw in the shifted-column case below: twice
-# the 7.40 measured with the envelope constant of the complement's spectrum
-# (7.49 with that of the full spectrum)
+# the 7.40 measured when columns were drawn in A's eigenbasis with the
+# envelope constant of the complement's spectrum
 PROPOSALS_PER_DRAW_BOUND = 15.0
 
 
@@ -211,18 +212,25 @@ def _rotated(spectrum, rng):
 
 
 class TestEigenbasisSweep:
-    @pytest.mark.parametrize("case", ["concentrated", "zero_b"])
+    @pytest.mark.parametrize("case", ["concentrated", "zero_b", "negative_b"])
     def test_sweep_law_matches_complete_qr_reference(self, case):
         # one sweep from a fixed frame against the complete-QR construction.
         # "concentrated": eigenvalue spread 20 and a start whose columns hold
         # the top eigenvectors, so each column's complement misses the top
-        # of the spectrum and the envelope is shifted to its floor;
-        # "zero_b": one column has b_j = 0 and is uniform on its sphere
+        # of the spectrum; "zero_b": one column has b_j = 0 and is uniform
+        # on its sphere; "negative_b": b_2 < 0, as for an eigenmodel's
+        # negative lambda, so the second column is drawn toward the bottom
+        # of A's spectrum, from a start that holds its top
         rng = np.random.default_rng(31)
         if case == "concentrated":
             evecs, a = _rotated(np.array([12.0, 6.0, 0.0, -4.0, -8.0]), rng)
             b = np.array([1.0, 0.7, 0.4])
             tilt = evecs[:, :3] + 0.05 * rng.standard_normal((5, 3))
+            start = OrthonormalFrame(np.linalg.qr(tilt)[0])
+        elif case == "negative_b":
+            evecs, a = _rotated(np.array([9.0, 4.0, 1.0, -2.0, -5.0, -7.0]), rng)
+            b = np.array([0.8, -0.6])
+            tilt = evecs[:, :2] + 0.05 * rng.standard_normal((6, 2))
             start = OrthonormalFrame(np.linalg.qr(tilt)[0])
         else:
             _, a = _rotated(np.array([3.0, 1.0, -0.5, -2.0]), rng)
@@ -239,7 +247,7 @@ class TestEigenbasisSweep:
                 p = stats.ks_2samp(stat(new[:, :, j]), stat(ref[:, :, j])).pvalue
                 assert p > 1e-3, (j, p)
 
-    def test_one_eigh_and_no_qr_per_sweep(self, monkeypatch):
+    def test_no_eigh_and_no_qr_per_sweep(self, monkeypatch):
         rng = np.random.default_rng(32)
         _, a = _rotated(np.array([4.0, 2.0, 1.0, 0.0, -1.0, -3.0]), rng)
         start = random_uniform_frame(6, 3, rng)
@@ -252,7 +260,7 @@ class TestEigenbasisSweep:
                 return _real(*args, **kwargs)
             monkeypatch.setattr(np.linalg, name, counted)
         sample_bingham_matrix_gibbs(a, np.array([2.0, 1.0, 0.5]), start, rng)
-        assert calls == {"eigh": 1, "qr": 0}
+        assert calls == {"eigh": 0, "qr": 0}
 
     def test_strong_concentration_keeps_frame_without_repair(self, caplog,
                                                              deadline):
@@ -271,31 +279,24 @@ class TestEigenbasisSweep:
     def test_shifted_columns_keep_their_acceptance_rate(self, deadline):
         # spread 1e3 at n = 50 from the top eigenvectors: the second and
         # third columns' complements miss the top of the spectrum, so their
-        # envelopes are shifted to the complement's floor; unshifted, a
-        # proposal is accepted with probability of order 1e-43. Each column
-        # draw calls standard_normal once per proposal, and the sweep draws
-        # nothing else from the stream.
+        # envelopes are shifted well below A's top eigenvalue; unshifted, a
+        # proposal is accepted with probability of order 1e-43. The kernel
+        # counts the proposals it tests.
         rng = np.random.default_rng(35)
         evecs, a = _rotated(np.linspace(0.0, 1e3, 50), rng)
         state = OrthonormalFrame(evecs[:, :-4:-1])
-        proposals = 0
-
-        class CountingGenerator(np.random.Generator):
-            def standard_normal(self, *args, **kwargs):
-                nonlocal proposals
-                proposals += 1
-                return super().standard_normal(*args, **kwargs)
-
-        counting = CountingGenerator(rng.bit_generator)
+        counts = DrawCounts()
         with deadline(30.0):
             for _ in range(200):
                 state = sample_bingham_matrix_gibbs(a, np.array([3.0, 2.0, 1.0]),
-                                                    state, counting)
-        assert proposals / 600 < PROPOSALS_PER_DRAW_BOUND
+                                                    state, rng, counts)
+        assert counts.draws == 600
+        assert counts.proposals / counts.draws < PROPOSALS_PER_DRAW_BOUND
 
     def test_concentration_beyond_double_precision_raises(self):
-        # a spectral floor 3e10 times the envelope constant leaves the
-        # downdate no correct digits; the sweep must say so, not loop
+        # a column conditional of scale about 1e12 times the envelope
+        # constant leaves the envelope's precision no correct digits near
+        # the top of the spectrum; the sweep must say so, not loop
         rng = np.random.default_rng(34)
         _, a = _rotated(np.linspace(0.0, 1e12, 20), rng)
         a = 0.5 * (a + a.T)

@@ -380,6 +380,11 @@ class TestEigenFit:
         manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
         assert manifest["t2_lambda"] == 12.0  # defaults to n
         assert manifest["backend"] == "pure"
+        sweeps = manifest["u_sweeps"]
+        assert set(sweeps) == {"proposals_per_draw_mean", "proposals_per_draw_max",
+                               "shift_fallbacks", "frame_repairs"}
+        assert 1.0 <= sweeps["proposals_per_draw_mean"] <= sweeps["proposals_per_draw_max"]
+        assert sweeps["frame_repairs"] == 0
 
     def test_asymmetric_adjacency_names_pair(self, tmp_path, capsys):
         p = tmp_path / "bad.csv"
@@ -411,7 +416,8 @@ class TestEigenFit:
         [line] = [r.getMessage() for r in caplog.records
                   if r.levelno == logging.INFO and "Gibbs iterations" in r.getMessage()]
         assert line.startswith("chain 0: 20 Gibbs iterations in ")
-        assert line.endswith(" iterations/s)")
+        assert " iterations/s), proposals_per_draw_mean " in line
+        assert line.endswith(", frame_repairs 0")
 
 
     def test_schedule_that_saves_no_draw_rejected(self, tmp_path, net_file,
@@ -609,50 +615,64 @@ def test_full_rank_svd_fit_terminates(tmp_path):
     assert np.all(np.isfinite(csvio.read_matrix(tmp_path / "fit" / "d_trace.csv")))
 
 
-# Runs svd-sim, then svd-fit and eigen-fit with their Gibbs runners
-# wrapped from outside the package (the way a benchmark harness times
-# them), and prints which of them had loaded scipy.special.
+# Runs svd-sim, then svd-fit and eigen-fit with their Gibbs runners and
+# the Bingham column kernel wrapped from outside the package (the way a
+# benchmark harness times them), and prints which SciPy modules each stage
+# had loaded.
 IMPORT_BOUNDARY_SCRIPT = """
 import json, sys
 from stiefel_mcmc import cli
 
-def loaded():
-    return "scipy.special" in sys.modules
+def scipy_loaded():
+    return any(m == "scipy" or m.startswith("scipy.") for m in sys.modules)
+
+def loaded(name):
+    return name in sys.modules
 
 out, net = sys.argv[1], sys.argv[2]
-report = {"import": loaded()}
+report = {"import": scipy_loaded()}
 
-def wrap(module, attr, key):
-    runner = getattr(sys.modules["stiefel_mcmc." + module], attr)
+def wrap(module, attr, key, probe):
+    mod = sys.modules["stiefel_mcmc." + module]
+    runner = getattr(mod, attr)
 
     def entered(*args, **kwargs):
-        report[key] = loaded()
+        report.setdefault(key, probe())
         return runner(*args, **kwargs)
-    setattr(sys.modules["stiefel_mcmc." + module], attr, entered)
+    setattr(mod, attr, entered)
 
-wrap("svd_model", "run_svd_gibbs", "svd_runner_entry")
-wrap("eigenmodel", "run_eigenmodel_gibbs", "eigen_runner_entry")
+wrap("svd_model", "run_svd_gibbs", "svd_runner_entry", scipy_loaded)
+wrap("eigenmodel", "run_eigenmodel_gibbs", "eigen_runner_entry",
+     lambda: [loaded("scipy.special"), loaded("scipy.linalg")])
+wrap("kernels", "bingham_spectral", "first_column_draw",
+     lambda: loaded("scipy.linalg"))
 codes = [cli.main(["svd-sim", "--m", "12", "--n", "8", "--out-dir", out + "/sim"]),
          cli.main(["svd-fit", "--input", out + "/sim/Y.csv", "--truth",
                    out + "/sim/M0.csv", "--rank", "2", "--iters", "10",
                    "--thin", "5", "--out-dir", out + "/fit"])]
-report["svd"] = loaded()
+report["svd"] = scipy_loaded()
 codes.append(cli.main(["eigen-fit", "--input", net, "--iters", "10", "--burn",
                        "5", "--thin", "5", "--out-dir", out + "/eig"]))
+report["eigen"] = loaded("scipy.linalg")
 report["codes"] = codes
 print(json.dumps(report))
 """
 
 
 def test_svd_path_never_loads_scipy_special(tmp_path, net_file):
-    # scipy.special is most of the package's import time and only the
-    # eigenmodel uses it; eigen-fit loads it before its chain starts, so
-    # its import time stays out of the chain's timed window. A fit that
-    # bypasses its runner's module attribute leaves its key out
+    # SciPy is most of the package's import time and only the eigenmodel
+    # uses it, so svd-sim and svd-fit load no SciPy module at all.
+    # eigen-fit loads scipy.special before its chain starts, so its import
+    # time stays out of the chain's timed window, and scipy.linalg (for the
+    # Bingham kernel's LAPACK calls) at the first column draw, so that it
+    # stays out of the set-up time. A fit that bypasses a wrapped module
+    # attribute leaves its key out
     proc = subprocess.run(
         [sys.executable, "-c", IMPORT_BOUNDARY_SCRIPT, str(tmp_path), str(net_file)],
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
     assert report == {"import": False, "svd_runner_entry": False, "svd": False,
-                      "eigen_runner_entry": True, "codes": [0, 0, 0]}
+                      "eigen_runner_entry": [True, False],
+                      "first_column_draw": False, "eigen": True,
+                      "codes": [0, 0, 0]}
