@@ -5,7 +5,9 @@ values, an optional header row that is auto-detected (a first row with
 no numeric field and some field that is not a missing marker). Files
 are read as UTF-8; a leading byte-order mark is dropped. All numeric output is
 written with shortest round-trip precision: the printed string parses
-back to the exact same double.
+back to the exact same double. ``format_value`` is the reference for every
+printed value; rows that ``orjson`` prints exactly as it would are
+formatted by ``orjson``, about eight times faster.
 """
 from __future__ import annotations
 
@@ -16,6 +18,7 @@ import warnings
 from pathlib import Path
 
 import numpy as np
+import orjson
 
 from .eigenmodel import MISSING, SymmetricBinaryNetwork
 from .errors import ParseError
@@ -28,6 +31,14 @@ MISSING_TOKENS = {"", "NA", "NaN", "nan"}
 # separators \x1c-\x1f as whitespace, float reads "1_000"), so any other
 # byte takes the full parser.
 FAST_PATH_BYTES = b"0123456789+-.eE,\r\n \tinfatyINFATY"
+
+# The magnitudes on which ``orjson`` prints a double exactly as ``repr``
+# does: the same shortest round-trip digits, in positional notation. Below
+# the range repr switches to exponent notation and orjson does not
+# ("9.99e-05" against "0.0000999"); from its top on both use exponents,
+# written differently ("1e+16" against "1e16"). Zero of either sign prints
+# alike; orjson writes NaN and the infinities as null.
+ORJSON_RANGE = (1e-4, 1e16)
 
 
 def format_value(x) -> str:
@@ -187,8 +198,19 @@ def parse_covariates(path, n: int) -> tuple[tuple[str, ...], np.ndarray]:
 def _format_row(row: np.ndarray) -> str:
     """``",".join(format_value(v) for v in row)`` in one pass: ``tolist``
     hands out Python ints and floats, whose ``repr`` is what
-    ``format_value`` prints, and NaN is the one value unequal to itself."""
-    return ",".join("NA" if v != v else repr(v) for v in row.tolist())
+    ``format_value`` prints, and NaN is the one value unequal to itself.
+
+    A float64 row whose every entry is 0 or of magnitude in
+    ``ORJSON_RANGE`` (so no NaN or inf) is printed by ``orjson`` instead,
+    which gives the same bytes. It is handed the list, not the array:
+    orjson's NumPy serializer refuses a row that is not C-contiguous."""
+    values = row.tolist()
+    if row.dtype == np.float64:
+        size = np.abs(row)
+        lo, hi = ORJSON_RANGE
+        if size.max(initial=0.0) < hi and np.all((size >= lo) | (size == 0.0)):
+            return orjson.dumps(values)[1:-1].decode()
+    return ",".join("NA" if v != v else repr(v) for v in values)
 
 
 def _create(path):

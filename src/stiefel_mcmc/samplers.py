@@ -18,9 +18,11 @@ number of burn sweeps from a uniform start.
 
 Both sweeps redraw a column through one kernel contract,
 ``kernels.mf_vector(c, rng, others)`` and
-``kernels.bingham_spectral(lam, rng, others)``: the kernel is handed the
-other columns and returns a unit vector orthogonal to them, and no basis
-of their complement is formed, and neither sweep decomposes A or C.
+``kernels.bingham_spectral(b_j * A, rng, others, u_j, counts)``, the
+latter on the matrix itself, started at the column's current value u_j:
+the kernel is handed the other columns and returns a unit vector
+orthogonal to them, and no basis of their complement is formed, and
+neither sweep decomposes A or C.
 
 Square frames (R = m) are accepted but the sweep degenerates there: each
 column is determined by the others up to sign, so the kernel only flips

@@ -106,21 +106,61 @@ class TestParsers:
         back = csvio.read_matrix(p)
         np.testing.assert_array_equal(back, vals)
 
-    def test_writers_match_format_value_byte_for_byte(self, tmp_path):
-        vals = np.array([[np.nan, -0.0, 0.0, 5e-324, 2.2250738585072014e-308],
-                         [1.7976931348623157e308, -1e300, np.pi, -1.0 / 3.0, 1e16],
-                         [np.inf, -np.inf, 1e-17, 123456789.0, -2.0]])
-        rows = ["a,b,c,d,e"] + [",".join(csvio.format_value(v) for v in row)
-                                for row in vals]
+    def test_writers_match_format_value_byte_for_byte(self, tmp_path, monkeypatch):
+        # rows that orjson may print and rows that it may not, each compared
+        # with the format_value join; the orjson calls are counted, so that
+        # both paths are seen to run
+        dumps = csvio.orjson.dumps
+        calls = []
+        monkeypatch.setattr(csvio.orjson, "dumps",
+                            lambda *a, **kw: calls.append(1) or dumps(*a, **kw))
         p = tmp_path / "m.csv"
-        csvio.write_matrix(p, vals, header=rows[0].split(","))
-        assert p.read_bytes() == ("\n".join(rows) + "\n").encode()
+
+        def check(mat, orjson_rows=None):
+            lines = [",".join(csvio.format_value(v) for v in row) for row in mat]
+            header = [f"c{k}" for k in range(mat.shape[1])]
+            del calls[:]
+            csvio.write_matrix(p, mat, header=header)
+            assert p.read_text() == "\n".join([",".join(header)] + lines) + "\n"
+            if orjson_rows is not None:
+                assert len(calls) == orjson_rows
+            iters = range(5, 5 * mat.shape[0] + 1, 5)
+            csvio.write_trace(p, header, iters, mat)
+            trace = [f"{it},{line}" for it, line in zip(iters, lines)]
+            assert p.read_text() == "\n".join(
+                [",".join(["iter"] + header)] + trace) + "\n"
+
+        # every row holds a NaN, an inf or a value outside ORJSON_RANGE
+        check(np.array([[np.nan, -0.0, 0.0, 5e-324, 2.2250738585072014e-308],
+                        [1.7976931348623157e308, -1e300, np.pi, -1.0 / 3.0, 1e16],
+                        [np.inf, -np.inf, 1e-17, 123456789.0, -2.0]]), 0)
+        rng = np.random.default_rng(20)
+        sign = rng.choice([-1.0, 1.0], (60, 8))
+        wide = sign * 10.0 ** rng.uniform(-6, 18, (60, 8))
+        check(wide)
+        # rows within the range, as the fits write them: all through orjson
+        inside = sign * 10.0 ** rng.uniform(-4, 16, (60, 8))
+        check(inside, 60)
+        check((1.0 + rng.random((30, 8))) * 10.0 ** rng.integers(-4, 16, (30, 1)), 30)
+        # each side of both ends of the range, one value a row
+        ends = [np.nextafter(e, to) for e in (1e-4, 1e16) for to in (0.0, np.inf)]
+        ends += [1e-4, 1e16]
+        check(np.array([[0.5, e, -e] for e in ends]), 3)
+        # signed zeros, and NaN or an infinity among values within the range
+        check(np.array([[0.0, -0.0, 0.0], [-0.0, -0.0, -0.0], [1.0, np.nan, 2.0],
+                        [1.0, np.inf, 2.0], [-np.inf, 0.5, 0.25]]), 2)
+        # memory orders and strided views
+        check(np.asfortranarray(inside), 60)
+        check(inside.T, 8)
+        check(inside[:, ::2], 60)
+        check(inside[::-3, 1::3], 20)
+        # int and float32 rows keep the repr join
+        check(np.arange(-3, 3).reshape(2, 3), 0)
+        check(np.array([[np.iinfo(np.int64).min, 0, np.iinfo(np.int64).max]]), 0)
+        check(np.vstack([inside[:4].astype(np.float32),
+                         np.array([[np.nan] + [0.1] * 7], dtype=np.float32)]), 0)
         csvio.write_matrix(p, np.arange(-3, 3).reshape(2, 3))
         assert p.read_bytes() == b"-3,-2,-1\n0,1,2\n"
-        csvio.write_trace(p, list("abcde"), [5, 10, 15], vals)
-        trace = [f"iter,{rows[0]}"] + [f"{it},{row}" for it, row in
-                                       zip((5, 10, 15), rows[1:])]
-        assert p.read_bytes() == ("\n".join(trace) + "\n").encode()
 
     def test_diagonal_ignored_regardless_of_content(self, tmp_path):
         p = tmp_path / "a.csv"

@@ -1,6 +1,10 @@
-"""Build and run artefacts stay out of version control."""
+"""Build and run artefacts stay out of version control, and every package
+that the program imports is declared."""
+import ast
+import re
 import shutil
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -22,3 +26,27 @@ def test_no_tracked_file_is_ignored():
     assert listed.returncode == 0, listed.stderr
     assert listed.stdout == "", (
         "tracked files matched by .gitignore:\n" + listed.stdout)
+
+
+def test_every_third_party_import_is_a_declared_dependency():
+    tomllib = pytest.importorskip("tomllib")  # in the standard library from 3.11
+    project = tomllib.loads((REPO_ROOT / "pyproject.toml").read_text())["project"]
+    declared = {re.match(r"[A-Za-z0-9_.-]+", dep).group().lower().replace("-", "_")
+                for dep in project["dependencies"]}
+    imported = {}
+    for path in sorted((REPO_ROOT / "src").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                imported.setdefault(name.partition(".")[0], path.name)
+    third_party = {name: where for name, where in imported.items()
+                   if name not in sys.stdlib_module_names and name != "stiefel_mcmc"}
+    undeclared = {name: where for name, where in third_party.items()
+                  if name not in declared}
+    assert "numpy" in third_party
+    assert not undeclared, f"imported in src/ but not in dependencies: {undeclared}"
