@@ -37,7 +37,10 @@ FAST_PATH_BYTES = b"0123456789+-.eE,\r\n \tinfatyINFATY"
 # the range repr switches to exponent notation and orjson does not
 # ("9.99e-05" against "0.0000999"); from its top on both use exponents,
 # written differently ("1e+16" against "1e16"). Zero of either sign prints
-# alike; orjson writes NaN and the infinities as null.
+# alike; orjson writes NaN and the infinities as null. This was checked
+# on orjson 3.8.3 only; before another orjson release is accepted,
+# tests/test_cli.py::test_writers_match_format_value_byte_for_byte must
+# pass with it.
 ORJSON_RANGE = (1e-4, 1e16)
 
 
@@ -195,22 +198,29 @@ def parse_covariates(path, n: int) -> tuple[tuple[str, ...], np.ndarray]:
     return tuple(names), table
 
 
-def _format_row(row: np.ndarray) -> str:
-    """``",".join(format_value(v) for v in row)`` in one pass: ``tolist``
-    hands out Python ints and floats, whose ``repr`` is what
-    ``format_value`` prints, and NaN is the one value unequal to itself.
+def _format_rows(mat: np.ndarray):
+    """``",".join(format_value(v) for v in row)`` for each row of `mat`, in
+    order, one row string at a time: ``tolist`` hands out Python ints and
+    floats, whose ``repr`` is what ``format_value`` prints, and NaN is the
+    one value unequal to itself.
 
     A float64 row whose every entry is 0 or of magnitude in
     ``ORJSON_RANGE`` (so no NaN or inf) is printed by ``orjson`` instead,
-    which gives the same bytes. It is handed the list, not the array:
-    orjson's NumPy serializer refuses a row that is not C-contiguous."""
-    values = row.tolist()
-    if row.dtype == np.float64:
-        size = np.abs(row)
+    which gives the same bytes. The rows that qualify are found in one
+    pass over the whole matrix, not row by row, so a narrow trace pays no
+    NumPy call per row. orjson is handed the list, not the array: its
+    NumPy serializer refuses a row that is not C-contiguous."""
+    exact = [False] * len(mat)
+    if mat.dtype == np.float64:
+        size = np.abs(mat)
         lo, hi = ORJSON_RANGE
-        if size.max(initial=0.0) < hi and np.all((size >= lo) | (size == 0.0)):
-            return orjson.dumps(values)[1:-1].decode()
-    return ",".join("NA" if v != v else repr(v) for v in values)
+        exact = ((size < hi) & ((size >= lo) | (size == 0.0))).all(axis=1).tolist()
+    for row, fast in zip(mat, exact):
+        values = row.tolist()
+        if fast:
+            yield orjson.dumps(values)[1:-1].decode()
+        else:
+            yield ",".join("NA" if v != v else repr(v) for v in values)
 
 
 def _create(path):
@@ -227,8 +237,8 @@ def write_matrix(path, mat, header: list[str] | None = None) -> None:
     with _create(path) as fh:
         if header:
             fh.write(",".join(header) + "\n")
-        for row in mat:
-            fh.write(_format_row(row) + "\n")
+        for line in _format_rows(mat):
+            fh.write(line + "\n")
 
 
 def write_trace(path, colnames: list[str], iterations, columns) -> None:
@@ -236,8 +246,8 @@ def write_trace(path, colnames: list[str], iterations, columns) -> None:
     columns = np.atleast_2d(np.asarray(columns))
     with _create(path) as fh:
         fh.write(",".join(["iter"] + list(colnames)) + "\n")
-        for it, row in zip(iterations, columns):
-            fh.write(f"{int(it)},{_format_row(row)}\n")
+        for it, line in zip(iterations, _format_rows(columns)):
+            fh.write(f"{int(it)},{line}\n")
 
 
 def write_summary(path, rows) -> None:

@@ -121,14 +121,14 @@ class TestParsers:
             header = [f"c{k}" for k in range(mat.shape[1])]
             del calls[:]
             csvio.write_matrix(p, mat, header=header)
-            assert p.read_text() == "\n".join([",".join(header)] + lines) + "\n"
+            assert p.read_bytes() == ("\n".join([",".join(header)] + lines) + "\n").encode()
             if orjson_rows is not None:
                 assert len(calls) == orjson_rows
             iters = range(5, 5 * mat.shape[0] + 1, 5)
             csvio.write_trace(p, header, iters, mat)
             trace = [f"{it},{line}" for it, line in zip(iters, lines)]
-            assert p.read_text() == "\n".join(
-                [",".join(["iter"] + header)] + trace) + "\n"
+            assert p.read_bytes() == ("\n".join(
+                [",".join(["iter"] + header)] + trace) + "\n").encode()
 
         # every row holds a NaN, an inf or a value outside ORJSON_RANGE
         check(np.array([[np.nan, -0.0, 0.0, 5e-324, 2.2250738585072014e-308],
