@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConstraintError, DimensionError
+from .errors import ConstraintError, DimensionError, InputError
 
 # Max-norm tolerance for U'U = I, enforced at construction and after
 # every sampler step.
@@ -42,12 +42,15 @@ def orthonormalize(entries: np.ndarray) -> np.ndarray:
 def require_symmetric(a: np.ndarray, tol: float = SYMMETRY_TOL, name: str = "A") -> np.ndarray:
     """a as a float array, checked square with max |a - a'| <= tol. a - a'
     is antisymmetric, so its largest entry is its largest absolute entry;
-    a non-finite entry of a leaves a NaN there and fails the check."""
+    a non-finite entry of a leaves a NaN there, reported as InputError."""
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionError(f"{name} must be square, got shape {a.shape}")
-    if not (a - a.T).max(initial=0.0) <= tol:
-        raise ConstraintError(f"{name} is not symmetric within {tol}")
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN, reported below
+        if not (a - a.T).max(initial=0.0) <= tol:
+            if not np.isfinite(a).all():
+                raise InputError(f"{name} has non-finite entries")
+            raise ConstraintError(f"{name} is not symmetric within {tol}")
     return a
 
 

@@ -6,8 +6,9 @@ the one-sided truncated normal. Each draws from the generator in a fixed
 order, so a seed reproduces the same draws given the same NumPy and
 SciPy. The two column kernels, ``mf_vector`` and ``bingham_spectral``,
 take the other columns of a frame as `others` and draw on the sphere of
-their orthogonal complement without forming a basis of it. ``BACKEND``
-names this implementation and is recorded in CLI run manifests.
+their orthogonal complement without forming a basis of it; without
+`others` they draw against an m x 0 frame, on one path for every k >= 0.
+``BACKEND`` names this implementation and is recorded in CLI run manifests.
 
 The Bingham kernel's per-draw work at n = 50 is a few dozen operations
 on n-vectors and n x n matrices and a few LAPACK calls, where call
@@ -84,13 +85,17 @@ def sample_sphere(m: int, rng: np.random.Generator,
     """Uniform draw on the unit sphere in R^m, or, given an m x k matrix
     `others` with orthonormal columns, on the unit sphere of their
     orthogonal complement. One ``standard_normal(m)`` per attempt."""
+    others = _frame(others, m)
     while True:
-        x = rng.standard_normal(m)
-        if others is not None:
-            x = _project_off(x, others)
+        x = _project_off(rng.standard_normal(m), others)
         norm = np.linalg.norm(x)
         if norm > 1e-12:
             return x / norm
+
+
+def _frame(w: np.ndarray | None, m: int) -> np.ndarray:
+    """The other columns as an m x k array, None being the m x 0 frame."""
+    return np.empty((m, 0)) if w is None else w
 
 
 def _project_off(x: np.ndarray, others: np.ndarray) -> np.ndarray:
@@ -194,18 +199,16 @@ def mf_vector(c: np.ndarray, rng: np.random.Generator,
     """
     c = np.asarray(c, dtype=np.float64)
     m = c.shape[0]
-    if others is None:
-        q = m
-    else:
-        q = m - others.shape[1]
-        c = _project_off(c, others)
+    others = _frame(others, m)
+    q = m - others.shape[1]
+    c = _project_off(c, others)
     # an overflowing |c| is inf, which the check below reports by name
     with np.errstate(over="ignore"):
         kappa = float(np.linalg.norm(c))
     if not math.isfinite(kappa):
         raise InputError(f"von Mises-Fisher parameter norm {kappa} is not finite")
     if q == 1:
-        if others is None:
+        if m == 1:  # R^1 keeps its fixed normal +1, and so its seeded draws
             n = np.ones(1)
         elif kappa > 0.0:
             n = c / kappa
@@ -238,9 +241,7 @@ def mf_vector(c: np.ndarray, rng: np.random.Generator,
 
     # uniform direction in the tangent space at mu
     while True:
-        v = rng.standard_normal(m)
-        if others is not None:
-            v = _project_off(v, others)
+        v = _project_off(rng.standard_normal(m), others)
         v -= mu * (mu @ v)
         norm = np.linalg.norm(v)
         if norm > 1e-12:
@@ -279,20 +280,20 @@ def bingham_spectral(a: np.ndarray, rng: np.random.Generator,
 
     a = np.asarray(a, dtype=np.float64)
     n = a.shape[0]
-    q = n if others is None else n - others.shape[1]
+    others = _frame(others, n)
+    k = others.shape[1]
+    q = n - k
+    counts = DrawCounts() if counts is None else counts
     flat = a.ravel()
     a_sq = float(flat.dot(flat))
     if q == 1 or not a_sq:
         return sample_sphere(n, rng, others)
-    if others is None:
-        trace, c_sq = float(a.trace()), a_sq
-    else:
-        # C = a - WG' - GW' with G = aW - W(W'aW)/2, never formed
-        aw = a.dot(others)
-        waw = others.T.dot(aw)
-        g = aw - 0.5 * others.dot(waw)
-        trace = float(a.trace()) - float(waw.trace())
-        c_sq = a_sq - 2.0 * float((aw * aw).sum()) + float((waw * waw).sum())
+    # C = a - WG' - GW' with G = aW - W(W'aW)/2, never formed
+    aw = a.dot(others)
+    waw = others.T.dot(aw)
+    g = aw - 0.5 * others.dot(waw)
+    trace = float(a.trace()) - float(waw.trace())
+    c_sq = a_sq - 2.0 * float((aw * aw).sum()) + float((waw * waw).sum())
     mu, beta = _envelope(a, others, start, q, trace, c_sq)
     scale = max(abs(mu), math.sqrt(a_sq))
     if scale > MAX_SHIFT_OVER_B * beta:
@@ -308,7 +309,7 @@ def bingham_spectral(a: np.ndarray, rng: np.random.Generator,
         omega = a * (-2.0 / beta)
         omega.flat[::n + 1] += d
         omega = omega.T
-        if others is not None:
+        if k:  # BLAS rejects an empty inner dimension, printing an XERBLA line
             omega = dsyr2k(1.0, others.T, ((2.0 / beta) * g + 0.5 * (1.0 - d) * others).T,
                            beta=1.0, c=omega, trans=1, lower=1, overwrite_c=1)
         chol, info = dpotrf(omega, lower=1, clean=0, overwrite_a=1)
@@ -330,33 +331,29 @@ def bingham_spectral(a: np.ndarray, rng: np.random.Generator,
         if chol is None:
             raise InputError("the ACG envelope's precision is not positive "
                              f"definite at the shift {min(hi, lo + 0.75 * beta):.6g}")
-        if counts is not None:
-            counts.shift_fallbacks += 1
+        counts.shift_fallbacks += 1
     log_m = 0.5 * (beta - q) + 0.5 * q * math.log(q / beta)
     for tested in itertools.count(0, PROPOSAL_BATCH):
         z = rng.standard_normal((PROPOSAL_BATCH, n))
         zz = (z * z).sum(axis=1)
         x = dtrtrs(chol, z.T, lower=1, trans=1, overwrite_b=1)[0]
-        if others is not None:
-            wx = others.T.dot(x)
-            x -= others.dot(wx)
-            zz -= (wx * wx).sum(axis=0)
+        wx = others.T.dot(x)
+        x -= others.dot(wx)
+        zz -= (wx * wx).sum(axis=0)
         r = zz / (x * x).sum(axis=0)  # y'Dy = 1 + 2s/beta for each proposal
         passed = (np.log(rng.random(PROPOSAL_BATCH))
                   < 0.5 * q * np.log(r) - 0.5 * beta * (r - 1.0) - log_m)
         if passed.any():
             first = int(passed.argmax())
-            if counts is not None:
-                counts.draws += 1
-                counts.proposals += tested + first + 1
-                counts.max_proposals = max(counts.max_proposals, tested + first + 1)
+            counts.draws += 1
+            counts.proposals += tested + first + 1
+            counts.max_proposals = max(counts.max_proposals, tested + first + 1)
             y = x[:, first]
-            if others is not None:
-                y -= others.dot(y.dot(others))
+            y -= others.dot(y.dot(others))
             return y / math.sqrt(y.dot(y))
 
 
-def _envelope(a: np.ndarray, others: np.ndarray | None, start: np.ndarray | None,
+def _envelope(a: np.ndarray, others: np.ndarray, start: np.ndarray | None,
               q: int, trace: float, c_sq: float) -> tuple[float, float]:
     """(mu, beta): the top Ritz value of a Lanczos run on C = PaP from
     `start` (by default an axis), stopped once a step raises it by at most
@@ -376,16 +373,16 @@ def _envelope(a: np.ndarray, others: np.ndarray | None, start: np.ndarray | None
             (0.0, max(top - mean - sd, 0.0), max(top - mean + sd, 0.0)),
             (1.0, 0.5 * rest, 0.5 * rest), rtol=1e-6)
 
-    k = 0 if others is None else others.shape[1]
+    k = others.shape[1]
     steps = min(rest, LANCZOS_MAX_STEPS)
     basis = np.empty((k + steps + 2, a.shape[0]))  # W's columns, then the run's
+    basis[:k] = others.T
     if start is None:
+        # the axis farthest from span(W); with no W, a's top diagonal one
         start = np.zeros(a.shape[0])
-        start[np.argmax(a.diagonal()) if others is None
-              else np.argmin((others * others).sum(axis=1))] = 1.0
-    if k:
-        basis[:k] = others.T
-        start = _project_off(start, others)
+        start[np.argmin((others * others).sum(axis=1)) if k
+              else np.argmax(a.diagonal())] = 1.0
+    start = _project_off(start, others)
     basis[k] = start / math.sqrt(start.dot(start))
     diag, offdiag = np.empty(steps + 1), np.empty(steps + 1)
     beta, ritz = None, 0.0

@@ -20,9 +20,9 @@ Both sweeps redraw a column through one kernel contract,
 ``kernels.mf_vector(c, rng, others)`` and
 ``kernels.bingham_spectral(b_j * A, rng, others, u_j, counts)``, the
 latter on the matrix itself, started at the column's current value u_j:
-the kernel is handed the other columns and returns a unit vector
-orthogonal to them, and no basis of their complement is formed, and
-neither sweep decomposes A or C.
+the kernel is handed the other columns, m x 0 for a single column, and
+returns a unit vector orthogonal to them; no basis of their complement is
+formed, and neither sweep decomposes A or C.
 
 Square frames (R = m) are accepted but the sweep degenerates there: each
 column is determined by the others up to sign, so the kernel only flips
@@ -66,9 +66,17 @@ def sample_mf_vector(c: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 def sample_bingham_vector(A: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Exact draw from density prop-to exp(u'Au) on the unit sphere of R^m:
     ``kernels.bingham_spectral`` on A centred by its mean diagonal entry."""
+    return kernels.bingham_spectral(_centred(A), rng)
+
+
+def _centred(A: np.ndarray) -> np.ndarray:
+    """A checked symmetric and non-empty, as a copy centred by its mean
+    diagonal entry, which keeps the ACG envelope's shift small."""
     a = require_symmetric(A).copy()
+    if not a.size:
+        raise DimensionError("A must be a non-empty matrix")
     a.flat[::a.shape[0] + 1] -= a.trace() / a.shape[0]
-    return kernels.bingham_spectral(a, rng)
+    return a
 
 
 def _ensure_frame(entries: np.ndarray, counts=None) -> OrthonormalFrame:
@@ -99,11 +107,8 @@ def _other_columns(r: int) -> tuple[np.ndarray, ...]:
 
 def _sweep_columns(u: np.ndarray, draw) -> np.ndarray:
     """Redraw the columns of u in place, in order: column j becomes
-    draw(j, others), others being the other columns as they stand (None
+    draw(j, others), others being the other columns as they stand (m x 0
     for a single column). The one column-update shape of both sweeps."""
-    if u.shape[1] == 1:
-        u[:, 0] = draw(0, None)
-        return u
     for j, rest in enumerate(_other_columns(u.shape[1])):
         u[:, j] = draw(j, u[:, rest])
     return u
@@ -158,8 +163,7 @@ def sample_bingham_matrix_gibbs(A: np.ndarray,
     A is centered by its mean diagonal entry before anything else; the
     target is invariant under A -> A + aI, and doing the shift up front
     makes the kernel honor that invariance by construction (identical
-    random streams give identical output) while also keeping the
-    envelope's shift, and so its cancellation, small.
+    random streams give identical output).
 
     Column j is redrawn from its full conditional, the vector Bingham law
     exp(b_j u'Au) on the unit sphere orthogonal to the other columns, by
@@ -170,7 +174,7 @@ def sample_bingham_matrix_gibbs(A: np.ndarray,
     that sphere. For R = 1 each sweep is one exact vector draw. `counts`,
     if given, also counts frame repairs.
     """
-    a = require_symmetric(A)
+    a = _centred(A)
     bvec = np.atleast_1d(np.asarray(b, dtype=np.float64))
     if a.shape[0] != current.rows:
         raise DimensionError(
@@ -178,13 +182,9 @@ def sample_bingham_matrix_gibbs(A: np.ndarray,
     if bvec.shape != (current.cols,):
         raise DimensionError(
             f"b has shape {bvec.shape}, expected ({current.cols},)")
-    # a non-finite entry of A has already failed the symmetry check
+    # require_symmetric has already rejected a non-finite entry of A
     if not np.isfinite(bvec).all():
         raise InputError("b has non-finite entries")
-
-    m = a.shape[0]
-    a = a.copy()
-    a.flat[::m + 1] -= a.trace() / m
 
     u = current.entries.copy()
     _sweep_columns(u, lambda j, others: kernels.bingham_spectral(

@@ -1,3 +1,4 @@
+import hashlib
 import logging
 
 import numpy as np
@@ -6,6 +7,7 @@ from scipy import stats
 
 from stiefel_mcmc import (
     ConstraintError,
+    DimensionError,
     InputError,
     random_uniform_frame,
     sample_bingham_matrix_gibbs,
@@ -34,6 +36,22 @@ class TestVectorSampler:
             sample_bingham_vector(a, rng)
         u = sample_bingham_vector(a + a.T, rng)
         assert abs(u @ u - 1.0) <= 1e-12
+
+    def test_empty_matrix_rejected(self, deadline):
+        # an empty A once left 0/0 in the centring and a draw on the
+        # sphere of R^0 that never returned
+        with deadline(10.0), pytest.raises(DimensionError):
+            sample_bingham_vector(np.zeros((0, 0)), np.random.default_rng(0))
+
+    @pytest.mark.parametrize("a", [
+        np.array([[np.inf]]),
+        np.array([[1.0, 2.0, np.nan], [2.0, 0.0, 3.0], [np.nan, 3.0, -1.0]])],
+        ids=["inf", "nan"])
+    def test_nonfinite_entries_rejected_as_such(self, a):
+        # a symmetric matrix with a non-finite entry is bad input, not an
+        # asymmetric one
+        with pytest.raises(InputError, match="non-finite"):
+            sample_bingham_vector(a, np.random.default_rng(0))
 
     def test_isotropic_is_uniform(self):
         rng = np.random.default_rng(1)
@@ -305,3 +323,35 @@ class TestEigenbasisSweep:
             for _ in range(5):
                 state = sample_bingham_matrix_gibbs(a, np.array([3.0, 2.0, 1.0]),
                                                     state, rng)
+
+
+# sha256 prefixes of 200 sweeps per case of a single column, rounded to 8
+# decimals and with -0.0 made 0.0, recorded from the sweep that drew a
+# single column with no `others` at all: (seed, m, b, scale of A's uniform
+# spectrum) -> digest
+BINGHAM_ONE_COLUMN_DIGESTS = {
+    (1, 1, 3.0, 1.0): "7444e3c5d1b38481",
+    (2, 2, -2.0, 1.0): "6c2a3e357ec602cc",
+    (3, 3, 1.0, 0.0): "6fe3ab9cc26be9a5",
+    (4, 7, 5.0, 1.0): "c0de92a4585125c9",
+    (5, 7, 0.0, 1.0): "7eb8696433e199f3",
+    (6, 49, 0.5, 20.0): "8088d62e9b85aa6a",
+}
+
+
+def one_column_digest(case):
+    seed, m, b, scale = case
+    rng = np.random.default_rng(seed)
+    _, a = _rotated(rng.uniform(-1.0, 1.0, m) * scale, rng)
+    a = 0.5 * (a + a.T)
+    state = random_uniform_frame(m, 1, rng)
+    draws = []
+    for _ in range(200):
+        state = sample_bingham_matrix_gibbs(a, np.array([b]), state, rng)
+        draws.append(state.entries[:, 0])
+    return hashlib.sha256((np.round(draws, 8) + 0.0).tobytes()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("case", sorted(BINGHAM_ONE_COLUMN_DIGESTS))
+def test_one_column_sweeps_draw_as_before(case):
+    assert one_column_digest(case) == BINGHAM_ONE_COLUMN_DIGESTS[case]

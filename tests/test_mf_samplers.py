@@ -1,3 +1,4 @@
+import hashlib
 import logging
 
 import numpy as np
@@ -185,3 +186,56 @@ def test_intact_frame_is_not_logged(caplog):
     with caplog.at_level(logging.WARNING, logger="stiefel_mcmc"):
         samplers._ensure_frame(u)
     assert not caplog.records
+
+
+# sha256 prefixes of 200 draws per case, rounded to 8 decimals and with
+# -0.0 made 0.0, recorded from the sweep that drew a single column with
+# no `others` at all: (seed, m, scale of C) -> digest. m = 1 keeps
+# sample_mf_vector's fixed normal +1 for the two-point sphere.
+MF_ONE_COLUMN_DIGESTS = {
+    (1, 1, 1.5): "5a6e501647ca3442",
+    (2, 2, 0.0): "6f78e6a516c4b262",
+    (3, 3, 2.0): "47d95cf6012c704a",
+    (4, 7, 0.5): "cc963dcf4199725e",
+    (5, 49, 4.0): "712b7b059f166def",
+}
+
+# the same for 200 sample_mf_vector draws on 1-vectors: (seed, c) -> digest
+MF_ONE_VECTOR_DIGESTS = {
+    (6, -1.5): "8213b397ff819c71",
+    (7, -40.0): "bd8c3fc03a2a4f0e",
+    (8, 0.0): "9409566d5091dbf9",
+}
+
+
+def _digest(draws):
+    return hashlib.sha256((np.round(draws, 8) + 0.0).tobytes()).hexdigest()[:16]
+
+
+def one_column_digest(case):
+    seed, m, scale = case
+    rng = np.random.default_rng(seed)
+    c = rng.standard_normal((m, 1)) * scale
+    state = random_uniform_frame(m, 1, rng)
+    draws = []
+    for _ in range(200):
+        state = sample_mf_matrix_gibbs(c, state, rng)
+        draws.append(state.entries[:, 0])
+    return _digest(np.array(draws))
+
+
+def one_vector_digest(case):
+    seed, c = case
+    rng = np.random.default_rng(seed)
+    return _digest(np.array([sample_mf_vector(np.array([c]), rng)
+                             for _ in range(200)]))
+
+
+@pytest.mark.parametrize("case", sorted(MF_ONE_COLUMN_DIGESTS))
+def test_one_column_sweeps_draw_as_before(case):
+    assert one_column_digest(case) == MF_ONE_COLUMN_DIGESTS[case]
+
+
+@pytest.mark.parametrize("case", sorted(MF_ONE_VECTOR_DIGESTS))
+def test_one_vector_draws_as_before(case):
+    assert one_vector_digest(case) == MF_ONE_VECTOR_DIGESTS[case]
