@@ -222,21 +222,15 @@ class EigenGibbsResult:
 
 def run_eigenmodel_gibbs(y: SymmetricBinaryNetwork, hyper: EigenHyperParams,
                          iters: int, burn: int, thin: int,
-                         rng: np.random.Generator,
-                         check_constraints: bool = False) -> EigenGibbsResult:
+                         rng: np.random.Generator) -> EigenGibbsResult:
     """``samplers.run_chain`` from ``initial_state``, saving sorted lambda
-    and theta and counting the U sweeps' diagnostics. check_constraints=True
-    re-validates the sign pattern of Z every iteration (test mode)."""
+    and theta and counting the U sweeps' diagnostics. Each step calls
+    ``gibbs_iteration`` through this module's global, so a wrapper put
+    there from outside sees every iteration."""
     counts = kernels.DrawCounts()
-
-    def step(state):
-        state = gibbs_iteration(state, y, hyper, rng, counts)
-        if check_constraints:
-            check_sign_constraints(y, state.Z)
-        return state
-
     trace, m_bar, saved = run_chain(
-        initial_state(y, hyper, rng), step,
+        initial_state(y, hyper, rng),
+        lambda s: gibbs_iteration(s, y, hyper, rng, counts),
         lambda s: (np.append(np.sort(s.lam), s.theta), s.U.entries * s.lam,
                    s.U.entries),
         iters, burn, thin)

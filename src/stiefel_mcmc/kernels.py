@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import DimensionError, InputError
 
 BACKEND = "pure"
 
@@ -94,8 +94,14 @@ def sample_sphere(m: int, rng: np.random.Generator,
 
 
 def _frame(w: np.ndarray | None, m: int) -> np.ndarray:
-    """The other columns as an m x k array, None being the m x 0 frame."""
-    return np.empty((m, 0)) if w is None else w
+    """The other columns as an m x k array, None being the m x 0 frame.
+    Raises DimensionError unless k < m: with k >= m the complement has no
+    direction, so there is no sphere to draw on."""
+    w = np.empty((m, 0)) if w is None else w
+    if w.shape[1] >= m:
+        raise DimensionError(f"{w.shape[1]} other columns in R^{m} leave no "
+                             "direction to draw in; need fewer than m")
+    return w
 
 
 def _project_off(x: np.ndarray, others: np.ndarray) -> np.ndarray:
@@ -195,7 +201,8 @@ def mf_vector(c: np.ndarray, rng: np.random.Generator,
     mu. For q = 1 the sphere is the two points {n, -n}, n a unit normal of
     the complement, and u = n with probability 1/(1 + exp(-2 c'n)); for
     kappa = 0 the draw is uniform. Raises InputError when |c| overflows or
-    kappa is too large for Wood's b to stay positive.
+    kappa is too large for Wood's b to stay positive, and DimensionError
+    when k >= m.
     """
     c = np.asarray(c, dtype=np.float64)
     m = c.shape[0]
@@ -214,7 +221,9 @@ def mf_vector(c: np.ndarray, rng: np.random.Generator,
             n = c / kappa
         else:
             return sample_sphere(m, rng, others)
-        p_plus = 1.0 / (1.0 + np.exp(-2.0 * (c @ n)))
+        # exp overflows to inf for c'n below about -355, giving p_plus = 0
+        with np.errstate(over="ignore"):
+            p_plus = 1.0 / (1.0 + np.exp(-2.0 * (c @ n)))
         return n if rng.random() < p_plus else -n
     if kappa == 0.0:
         return sample_sphere(m, rng, others)
@@ -272,7 +281,8 @@ def bingham_spectral(a: np.ndarray, rng: np.random.Generator,
     bound. Each batch of PROPOSAL_BATCH proposals is one triangular solve;
     `counts`, if given, records the proposals tested and any fallback.
     ``scipy.linalg`` loads at the first draw, not with the module. Raises
-    InputError when max(|mu|, |a|_F) > MAX_SHIFT_OVER_B * beta. See
+    InputError when max(|mu|, |a|_F) > MAX_SHIFT_OVER_B * beta, and
+    DimensionError when k >= n. See
     docs/decisions.md, "Bingham columns are drawn in A's own basis".
     """
     from scipy.linalg.blas import dsyr2k

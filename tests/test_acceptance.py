@@ -201,19 +201,31 @@ def test_criterion_6_full_conditional_moments():
 
 @pytest.fixture(scope="module")
 def eigen_fixture_run():
-    # the pinned synthetic-recovery fixture; constraint checking on so the
-    # same chain certifies criterion 8
+    # the pinned synthetic-recovery fixture; every Gibbs iteration is
+    # wrapped to check the sign pattern of its Z, so the same chain
+    # certifies criterion 8
+    checked = [0]
+    iteration = em.gibbs_iteration
+
+    def checked_iteration(state, y, *args):
+        state = iteration(state, y, *args)
+        em.check_sign_constraints(y, state.Z)
+        checked[0] += 1
+        return state
+
     rng = np.random.default_rng(700)
     ustar = random_uniform_frame(50, 2, rng)
     net = em.generate_network(-1.0, np.array([8.0, 4.0]), ustar, rng)
     hyper = em.EigenHyperParams(t2_lambda=50.0, t2_theta=100.0, rank=2)
-    res = em.run_eigenmodel_gibbs(net, hyper, iters=10_000, burn=100, thin=10,
-                                  rng=rng, check_constraints=True)
-    return ustar, res
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(em, "gibbs_iteration", checked_iteration)
+        res = em.run_eigenmodel_gibbs(net, hyper, iters=10_000, burn=100,
+                                      thin=10, rng=rng)
+    return ustar, res, checked[0]
 
 
 def test_criterion_7_eigenmodel_synthetic_recovery(eigen_fixture_run):
-    ustar, res = eigen_fixture_run
+    ustar, res, _ = eigen_fixture_run
     pr_pos = float(np.mean((res.lambda_trace > 0).all(axis=1)))
     theta_err = abs(res.theta_trace.mean() - (-1.0))
     pos, _ = em.latent_positions(res.m_bar, 2)
@@ -228,13 +240,12 @@ def test_criterion_7_eigenmodel_synthetic_recovery(eigen_fixture_run):
 
 
 def test_criterion_8_constraint_integrity(eigen_fixture_run):
-    # run_eigenmodel_gibbs(check_constraints=True) raises on the first sign
-    # violation; reaching here with the full number of saves means zero
-    # violations across all 10000 iterations
-    _, res = eigen_fixture_run
-    ok = res.saved_count == 990
+    # check_sign_constraints raises on the first sign violation; reaching
+    # here with all 10000 iterations checked means zero violations
+    _, res, checked = eigen_fixture_run
+    ok = checked == 10_000 and res.saved_count == 990
     report(8, "zero sign violations across a full run", ok,
-           f"saved={res.saved_count}")
+           f"checked={checked}, saved={res.saved_count}")
 
 
 def test_criterion_9_determinism(tmp_path):

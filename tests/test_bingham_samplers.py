@@ -91,6 +91,19 @@ class TestVectorSampler:
 
 
 class TestMatrixKernel:
+    @pytest.mark.parametrize("a_size, b, error, match", [
+        (4, [1.0, 2.0], DimensionError, r"A has shape \(4, 4\)"),
+        (5, [1.0, 2.0, 3.0], DimensionError, r"b has shape \(3,\)"),
+        (5, [1.0], DimensionError, r"b has shape \(1,\)"),
+        (5, [1.0, np.nan], InputError, "b has non-finite entries"),
+        (5, [-np.inf, 1.0], InputError, "b has non-finite entries"),
+    ], ids=["A", "b-long", "b-short", "b-nan", "b-inf"])
+    def test_bad_parameters_rejected(self, a_size, b, error, match):
+        rng = np.random.default_rng(10)
+        current = random_uniform_frame(5, 2, rng)
+        with pytest.raises(error, match=match):
+            sample_bingham_matrix_gibbs(np.eye(a_size), np.array(b), current, rng)
+
     def test_output_orthonormal(self):
         rng = np.random.default_rng(5)
         a = rng.standard_normal((6, 6))

@@ -108,6 +108,27 @@ class TestZFullConditional:
         with pytest.raises(ConstraintError):
             em.sample_z_full_conditional(net, mean, rng)
 
+    @pytest.mark.parametrize("size", [11, 13])
+    def test_mean_of_the_wrong_size_rejected(self, size):
+        net, rng = small_net(5)
+        with pytest.raises(DimensionError,
+                           match=rf"mean is \({size}, {size}\), expected \(12, 12\)"):
+            em.sample_z_full_conditional(net, np.zeros((size, size)), rng)
+
+
+@pytest.mark.parametrize("code, value", [(1, 0.0), (1, -0.5), (0, 0.0), (0, 0.5)],
+                         ids=["edge-zero", "edge-negative", "non-edge-zero",
+                              "non-edge-positive"])
+def test_sign_violation_names_its_cell(code, value):
+    # every other dyad is missing, so the one observed cell decides
+    codes = np.full((4, 4), -1, dtype=np.int8)
+    codes[1, 2] = codes[2, 1] = code
+    z = np.zeros((4, 4))
+    z[1, 2] = z[2, 1] = value
+    with pytest.raises(ConstraintError,
+                       match=rf"z\[2,3\] = .* violates observed y = {code}$"):
+        em.check_sign_constraints(em.SymmetricBinaryNetwork(codes), z)
+
 
 def fixed_state(n=10, r=2, seed=6, theta=0.4):
     rng = np.random.default_rng(seed)
@@ -310,12 +331,25 @@ class TestRun:
         z = (draws.mean(axis=0) - np.array([1.0, 1.0, 0.0, 0.0])) / se
         assert np.all(np.abs(z) < 4.0), z
 
-    def test_constraint_checking_mode(self):
+    def test_constraint_checking_mode(self, monkeypatch):
+        # the chain is checked from outside, through the module global
+        # that the runner calls for each iteration
+        checked = [0]
+        iteration = em.gibbs_iteration
+
+        def checked_iteration(state, y, *args):
+            state = iteration(state, y, *args)
+            em.check_sign_constraints(y, state.Z)
+            checked[0] += 1
+            return state
+
+        monkeypatch.setattr(em, "gibbs_iteration", checked_iteration)
         net, rng = small_net(17)
         hyper = em.EigenHyperParams(t2_lambda=float(net.n), t2_theta=100.0,
                                     rank=2)
         res = em.run_eigenmodel_gibbs(net, hyper, iters=60, burn=5, thin=5,
-                                      rng=rng, check_constraints=True)
+                                      rng=rng)
+        assert checked[0] == 60
         assert res.saved_count == 11
 
     def test_invalid_schedules_rejected(self):

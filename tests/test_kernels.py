@@ -7,7 +7,7 @@ import pytest
 from scipy.stats import ks_2samp, norm
 
 from stiefel_mcmc import kernels
-from stiefel_mcmc.errors import InputError
+from stiefel_mcmc.errors import DimensionError, InputError
 
 from oracles import (
     BINGHAM2_DIAG3,
@@ -248,6 +248,19 @@ def test_mf_vector_raises_when_the_norm_overflows(scale, others, deadline):
           warnings.catch_warnings()):
         warnings.simplefilter("error", RuntimeWarning)
         kernels.mf_vector(c, np.random.default_rng(16), others)
+
+
+@pytest.mark.parametrize("draw", [
+    lambda rng: kernels.sample_sphere(2, rng, np.eye(2)),
+    lambda rng: kernels.mf_vector(np.ones(2), rng, np.eye(2)),
+    lambda rng: kernels.mf_vector(np.zeros(0), rng),
+    lambda rng: kernels.bingham_spectral(np.diag([1.0, 2.0]), rng, np.eye(2)),
+], ids=["sphere", "mf", "mf-empty", "bingham"])
+def test_a_frame_that_leaves_no_direction_is_rejected(draw, deadline):
+    # with k >= m other columns the complement is {0}: sample_sphere and
+    # mf_vector drew normals for ever and bingham_spectral divided by zero
+    with deadline(5.0), pytest.raises(DimensionError, match="no direction"):
+        draw(np.random.default_rng(17))
 
 
 def _rotated(spectrum, rng):

@@ -1,11 +1,13 @@
 import hashlib
 import logging
+import warnings
 
 import numpy as np
 import pytest
 from scipy import stats
 
 from stiefel_mcmc import (
+    DimensionError,
     InputError,
     random_uniform_frame,
     sample_mf_matrix,
@@ -14,6 +16,7 @@ from stiefel_mcmc import (
     samplers,
 )
 from stiefel_mcmc.frames import frame_defect
+from stiefel_mcmc.kernels import DrawCounts
 
 from oracles import VMF_M3_MEAN, mf_matrix_gibbs_qr, vmf_mean_resultant
 
@@ -64,8 +67,31 @@ class TestVectorSampler:
         with pytest.raises(InputError):
             sample_mf_vector(np.array([np.nan, 0.0]), np.random.default_rng(0))
 
+    def test_m1_far_negative_draws_minus_one_without_warning(self):
+        # exp(-2 c'n) overflows to inf, so p_plus is exactly 0
+        rng = np.random.default_rng(5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            draws = [sample_mf_vector(np.array([-400.0]), rng) for _ in range(5)]
+        assert all(u.tolist() == [-1.0] for u in draws)
+
 
 class TestMatrixKernel:
+    @pytest.mark.parametrize("shape, bad, error, match", [
+        ((4, 2), None, DimensionError, r"C has shape \(4, 2\)"),
+        ((5, 3), None, DimensionError, r"C has shape \(5, 3\)"),
+        ((5, 2), np.nan, InputError, "C has non-finite entries"),
+        ((5, 2), np.inf, InputError, "C has non-finite entries"),
+    ], ids=["rows", "cols", "nan", "inf"])
+    def test_bad_parameter_rejected(self, shape, bad, error, match):
+        rng = np.random.default_rng(9)
+        current = random_uniform_frame(5, 2, rng)
+        c = np.ones(shape)
+        if bad is not None:
+            c[1, 1] = bad
+        with pytest.raises(error, match=match):
+            sample_mf_matrix_gibbs(c, current, rng)
+
     def test_output_orthonormal(self):
         rng = np.random.default_rng(5)
         current = random_uniform_frame(6, 3, rng)
@@ -179,6 +205,30 @@ def test_frame_repair_is_logged(caplog):
     assert record.name == "stiefel_mcmc"
     assert f"{frame_defect(drifted):.3e}" in record.getMessage()
     assert "7x3" in record.getMessage()
+
+
+def test_frame_repair_is_counted(caplog, monkeypatch):
+    # the repair goes through samplers.orthonormalize, the name that a
+    # span recorder wraps to time repairs
+    repairs = []
+    orthonormalize = samplers.orthonormalize
+
+    def counted(entries):
+        repairs.append(entries.shape)
+        return orthonormalize(entries)
+
+    monkeypatch.setattr(samplers, "orthonormalize", counted)
+    u = random_uniform_frame(7, 3, np.random.default_rng(12)).entries
+    drifted = u + 1e-9 * np.random.default_rng(13).standard_normal(u.shape)
+    counts = DrawCounts()
+    with caplog.at_level(logging.WARNING, logger="stiefel_mcmc"):
+        repaired = samplers._ensure_frame(drifted, counts)
+    assert counts.frame_repairs == 1
+    assert repairs == [(7, 3)]
+    [record] = caplog.records
+    assert record.levelno == logging.WARNING
+    assert "re-orthonormalized the 7x3 frame" in record.getMessage()
+    assert frame_defect(repaired.entries) <= 1e-14
 
 
 def test_intact_frame_is_not_logged(caplog):
