@@ -19,7 +19,6 @@ from .frames import OrthonormalFrame, random_uniform_frame
 from .samplers import (
     sample_bingham_matrix_gibbs,
     sample_bingham_vector,
-    sample_mf_matrix,
     sample_mf_matrix_gibbs,
     sample_mf_vector,
 )
@@ -30,5 +29,5 @@ __all__ = [
     "ParseError",
     "OrthonormalFrame", "random_uniform_frame",
     "sample_mf_vector", "sample_bingham_vector",
-    "sample_mf_matrix", "sample_mf_matrix_gibbs", "sample_bingham_matrix_gibbs",
+    "sample_mf_matrix_gibbs", "sample_bingham_matrix_gibbs",
 ]

@@ -44,8 +44,9 @@ __all__ = [
 # means bad input, such as a non-finite entry.
 ACG_NEWTON_MAX_STEPS = 64
 
-# Bingham proposals drawn, solved and tested together; a draw tests
-# about 5 at n = 50.
+# Bingham proposals drawn, solved and tested together; a draw tests 2.2
+# to 4.8, median 4.4, at n = 50 (u_sweeps.proposals_per_draw_mean in the
+# manifests of the eight eigen-paper chains of perfbench/run.py, seed 1).
 PROPOSAL_BATCH = 8
 
 # The Lanczos run for the envelope's shift stops once a step raises the

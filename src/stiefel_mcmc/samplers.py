@@ -12,9 +12,7 @@ columns, column j of a frame is confined to the unit sphere of their
 orthogonal complement, where the target reduces to a vector MF (resp.
 vector Bingham) law. Each column is redrawn exactly from that conditional,
 so one call is one sweep of a Markov kernel whose stationary distribution
-is the target; it is not an independent draw from the target. For an
-approximately independent draw, ``sample_mf_matrix`` runs a documented
-number of burn sweeps from a uniform start.
+is the target; it is not an independent draw from the target.
 
 Both sweeps redraw a column through one kernel contract,
 ``kernels.mf_vector(c, rng, others)`` and
@@ -43,12 +41,8 @@ from .frames import (
     OrthonormalFrame,
     frame_defect,
     orthonormalize,
-    random_uniform_frame,
     require_symmetric,
 )
-
-# Sweeps used by sample_mf_matrix to wash out the starting frame.
-DEFAULT_BURN_SWEEPS = 25
 
 log = logging.getLogger("stiefel_mcmc")
 
@@ -135,22 +129,6 @@ def sample_mf_matrix_gibbs(C: np.ndarray,
     u = _sweep_columns(current.entries.copy(),
                        lambda j, others: kernels.mf_vector(c[:, j], rng, others))
     return _ensure_frame(u)
-
-
-def sample_mf_matrix(C: np.ndarray, rng: np.random.Generator) -> OrthonormalFrame:
-    """Approximately independent draw targeting etr(C'U).
-
-    Runs DEFAULT_BURN_SWEEPS (25) Gibbs sweeps from a uniform random frame.
-    The result is a Markov-chain state, not an exact draw; 25 sweeps is
-    ample for the moderate concentrations arising in the bundled models.
-    """
-    c = np.asarray(C, dtype=np.float64)
-    if c.ndim != 2:
-        raise DimensionError("C must be a matrix")
-    state = random_uniform_frame(c.shape[0], c.shape[1], rng)
-    for _ in range(DEFAULT_BURN_SWEEPS):
-        state = sample_mf_matrix_gibbs(c, state, rng)
-    return state
 
 
 def sample_bingham_matrix_gibbs(A: np.ndarray,

@@ -34,6 +34,8 @@ class TestVectorSampler:
         a = rng.standard_normal((4, 4))
         with pytest.raises(ConstraintError):
             sample_bingham_vector(a, rng)
+        with pytest.raises(DimensionError, match=r"A must be square, got shape \(3, 4\)"):
+            sample_bingham_vector(a[:3], rng)
         u = sample_bingham_vector(a + a.T, rng)
         assert abs(u @ u - 1.0) <= 1e-12
 

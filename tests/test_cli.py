@@ -77,6 +77,21 @@ class TestParsers:
         else:
             np.testing.assert_equal(csvio._to_float(tok), value)
 
+    @pytest.mark.parametrize("flag", ["--input", "--covariates"])
+    def test_header_only_file_is_rejected(self, tmp_path, net_file, capsys, flag):
+        # svd-fit's data file and eigen-fit's covariates, each a header
+        # row and nothing else
+        p = tmp_path / "header.csv"
+        p.write_text("a,b,c\n")
+        if flag == "--input":
+            cmd = ["svd-fit", "--input", p, "--rank", 1]
+        else:
+            cmd = ["eigen-fit", "--input", net_file, "--covariates", p]
+        out = tmp_path / "out"
+        assert run_cli(*cmd, "--iters", 10, "--thin", 5, "--out-dir", out) == 2
+        assert "header.csv: no data rows after header" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_covariate_row_count_checked(self, tmp_path):
         p = tmp_path / "x.csv"
         p.write_text("drug,smoke\n1,0\n0,1\n")
@@ -556,6 +571,11 @@ def test_negative_seed_is_a_validation_error(tmp_path, net_file, subcommand):
     assert "seed must be a non-negative integer, got -1" in proc.stderr
 
 
+def test_unknown_stream_label_rejected():
+    with pytest.raises(KeyError, match="unknown stream label 'svd-mle'"):
+        cli.derive_rng(0, "svd-mle")
+
+
 @pytest.mark.parametrize("subcommand,flag,field", [
     ("svd-fit", "--nu0", "nu0"), ("svd-fit", "--s20", "s20"),
     ("svd-fit", "--eta0", "eta0"), ("svd-fit", "--t20", "t20"),
@@ -584,9 +604,12 @@ ASYMMETRIC_NET = "NA,1,0\n0,NA,1\n0,1,NA\n"
      "--rank must lie in 1..3 for the network of 3 nodes, got 5"),
     (ASYMMETRIC_NET, ["--chains", 2], "(1,2)"),
     (SYMMETRIC_NET, ["--burn", 10, "--chains", 2], "got 10/10/5"),
-    ("NA\n", ["--rank", 1], "a network needs at least 2 nodes to have a dyad, got 1")],
+    ("NA\n", ["--rank", 1], "a network needs at least 2 nodes to have a dyad, got 1"),
+    ("a,b,c\n", ["--rank", 1], "no data rows after header"),
+    ("NA,1,0\n1,NA,1\n", ["--rank", 1], "adjacency must be square, got 2x3")],
     ids=["svd-seed", "svd-nu0-chains", "svd-rank", "eigen-t2-theta", "eigen-rank",
-         "eigen-asymmetric-chains", "eigen-burn-chains", "eigen-one-node"])
+         "eigen-asymmetric-chains", "eigen-burn-chains", "eigen-one-node",
+         "eigen-header-only", "eigen-non-square"])
 def test_rejected_fit_creates_no_out_dir(tmp_path, capsys, net, args, message):
     # a fit rejected before its first write, by a parent-side check or by
     # the runner's schedule check, leaves no directory, for one chain and

@@ -28,6 +28,10 @@ class TestNetworkType:
         with pytest.raises(ConstraintError, match=r"\(1,2\)"):
             em.SymmetricBinaryNetwork(codes)
 
+    def test_rejects_non_square(self):
+        with pytest.raises(DimensionError, match="adjacency must be a square matrix"):
+            em.SymmetricBinaryNetwork(np.zeros((2, 3), dtype=np.int8))
+
     def test_rejects_bad_entries(self):
         with pytest.raises(InputError):
             em.SymmetricBinaryNetwork(np.full((2, 2), 2, dtype=np.int8))
@@ -359,6 +363,10 @@ class TestRun:
             em.run_eigenmodel_gibbs(net, hyper, iters=10, burn=10, thin=1,
                                     rng=rng)
 
+    def test_zero_rank_rejected(self):
+        with pytest.raises(InputError, match="rank must be a positive integer"):
+            em.EigenHyperParams(t2_lambda=1.0, t2_theta=1.0, rank=0)
+
     def test_detectable_signal_recovery_and_homophily(self):
         # strong positive-definite factor structure: the posterior must put
         # both sorted lambdas above zero (homophily) and the latent space
@@ -423,6 +431,11 @@ class TestLatentPositions:
     def test_asymmetric_rejected(self):
         with pytest.raises(ConstraintError):
             em.latent_positions(np.array([[0.0, 1.0], [0.0, 0.0]]), 1)
+
+    @pytest.mark.parametrize("rank", [0, 5])
+    def test_rank_outside_one_to_n_rejected(self, rank):
+        with pytest.raises(DimensionError, match=f"got rank={rank}"):
+            em.latent_positions(np.eye(4), rank)
 
 
 class TestGenerator:

@@ -23,6 +23,10 @@ class TestOrthonormalFrame:
             random_uniform_frame(3, 4, np.random.default_rng(0))
         with pytest.raises(DimensionError):
             random_uniform_frame(0, 0, np.random.default_rng(0))
+        with pytest.raises(DimensionError, match="frame must be 2-d, got ndim=1"):
+            OrthonormalFrame(np.ones(3))
+        with pytest.raises(DimensionError, match="must be positive, got 3x0"):
+            OrthonormalFrame(np.zeros((3, 0)))
 
     def test_uniform_frame_orthonormal(self):
         rng = np.random.default_rng(1)

@@ -10,7 +10,6 @@ from stiefel_mcmc import (
     DimensionError,
     InputError,
     random_uniform_frame,
-    sample_mf_matrix,
     sample_mf_matrix_gibbs,
     sample_mf_vector,
     samplers,
@@ -66,6 +65,12 @@ class TestVectorSampler:
     def test_nonfinite_rejected(self):
         with pytest.raises(InputError):
             sample_mf_vector(np.array([np.nan, 0.0]), np.random.default_rng(0))
+
+    @pytest.mark.parametrize("c", [np.zeros(0), np.ones((2, 2))],
+                             ids=["empty", "matrix"])
+    def test_bad_shape_rejected(self, c):
+        with pytest.raises(DimensionError, match="c must be a non-empty vector"):
+            sample_mf_vector(c, np.random.default_rng(0))
 
     def test_m1_far_negative_draws_minus_one_without_warning(self):
         # exp(-2 c'n) overflows to inf, so p_plus is exactly 0
@@ -135,18 +140,15 @@ class TestMatrixKernel:
             runs.append(state.entries)
         np.testing.assert_array_equal(runs[0], runs[1])
 
-    def test_wrapper_default_sweeps(self):
-        rng = np.random.default_rng(8)
-        c = np.zeros((5, 2))
-        frame = sample_mf_matrix(c, rng)
-        assert frame_defect(frame.entries) <= 1e-10
-
     def test_wrapper_concentrates_near_polar_part(self):
-        # strong C: draws concentrate near the mode (the polar part of C)
+        # strong C: 25 sweeps from a uniform start concentrate near the
+        # mode (the polar part of C)
         rng = np.random.default_rng(9)
         base = random_uniform_frame(6, 2, rng).entries
         c = 500.0 * base
-        frame = sample_mf_matrix(c, rng)
+        frame = random_uniform_frame(6, 2, rng)
+        for _ in range(25):
+            frame = sample_mf_matrix_gibbs(c, frame, rng)
         overlap = np.abs(np.linalg.svd(frame.entries.T @ base,
                                        compute_uv=False))
         assert np.all(overlap > 0.98)

@@ -1,6 +1,7 @@
 """Build and run artefacts stay out of version control, every package
-that the program imports is declared, and the module attributes that the
-benchmark harness patches exist."""
+that the program imports is declared, the module attributes that the
+benchmark harness patches exist, and the README documents every exported
+function."""
 import ast
 import importlib
 import importlib.util
@@ -87,3 +88,19 @@ def test_the_seams_the_benchmark_patches_exist(tmp_path):
                      "--seed", "1", "--out-dir", str(tmp_path)]) == 0
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["backend"] == kernels.BACKEND
+
+
+def test_readme_table_lists_exactly_the_exported_functions():
+    # each row of the README's sampling-primitives table starts with
+    # | `name(...)`; a public function added or removed without its row
+    # fails here, and so does a row left for a function that is gone
+    import stiefel_mcmc
+
+    exported = {name for name in stiefel_mcmc.__all__
+                if inspect.isfunction(getattr(stiefel_mcmc, name))}
+    readme = (REPO_ROOT / "README.md").read_text()
+    table = readme.partition("| function | draw |")[2].partition("\n\n")[0]
+    documented = set(re.findall(r"^\| `(\w+)\(", table, flags=re.MULTILINE))
+    assert documented, "no sampling-primitives table in README.md"
+    assert exported - documented == set(), "exported but not in the README table"
+    assert documented - exported == set(), "in the README table but not exported"

@@ -71,6 +71,13 @@ class TestMleInit:
         state = sm.mle_init(data, 6)
         assert np.all(state.d[:4] >= truth.d)
 
+    @pytest.mark.parametrize("fit", [sm.mle_init, sm.rank_r_approximation],
+                             ids=["mle_init", "rank_r_approximation"])
+    @pytest.mark.parametrize("rank", [0, 4])
+    def test_rank_outside_one_to_min_rejected(self, fit, rank):
+        with pytest.raises(DimensionError, match=f"got rank={rank}"):
+            fit(np.ones((5, 3)), rank)
+
     def test_tau2_is_mean_square_d(self):
         rng = np.random.default_rng(6)
         data, _ = sm.simulate_dataset(20, 15, 2, rng)
