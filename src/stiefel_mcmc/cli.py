@@ -86,22 +86,11 @@ def _log_chain_rate(chain: int, iters: int, seconds: float,
              chain, iters, seconds, iters / seconds, diagnostics)
 
 
-def _svd_fit_chain(cfg, chain: int, rng, out: Path, y, hyper) -> None:
+def _svd_fit_chain(cfg, chain: int, rng, out: Path, y, hyper, m0) -> None:
     start = time.perf_counter()
     result = svd_model.run_svd_gibbs(y, cfg.rank, hyper, cfg.iters, cfg.thin, rng)
     _log_chain_rate(chain, cfg.iters, time.perf_counter() - start)
     rank_r = svd_model.rank_r_approximation(result.m_posterior_mean, cfg.rank)
-    # the truth is read after the chain, so that its parse does not delay
-    # the start, and checked before any output is written
-    m0 = None
-    if cfg.truth:
-        m0 = csvio.read_matrix(cfg.truth)
-        if m0.shape != y.shape:
-            raise StiefelMcmcError(f"{cfg.truth}: the truth has shape {m0.shape}, "
-                                   f"the data matrix {y.shape}")
-        if not np.isfinite(m0).all():
-            raise StiefelMcmcError(f"{cfg.truth}: the truth has missing or "
-                                   "non-finite entries")
 
     csvio.write_trace(out / "d_trace.csv",
                       [f"d_{j + 1}" for j in range(cfg.rank)],
@@ -129,11 +118,20 @@ def cmd_svd_fit(cfg) -> int:
     if not np.isfinite(y).all():
         raise StiefelMcmcError(f"{cfg.input}: missing or non-finite entries are "
                                "not supported by the low-rank mean model")
+    m0 = None
+    if cfg.truth:
+        m0 = csvio.read_matrix(cfg.truth)
+        if m0.shape != y.shape:
+            raise StiefelMcmcError(f"{cfg.truth}: the truth has shape {m0.shape}, "
+                                   f"the data matrix {y.shape}")
+        if not np.isfinite(m0).all():
+            raise StiefelMcmcError(f"{cfg.truth}: the truth has missing or "
+                                   "non-finite entries")
     m, n = y.shape
     if not 1 <= cfg.rank <= min(m, n):
         raise StiefelMcmcError(f"--rank must lie in 1..{min(m, n)} for the "
                                f"{m}x{n} data matrix, got {cfg.rank}")
-    return _fan_out(cfg, "svd-fit", _svd_fit_chain, y, hyper)
+    return _fan_out(cfg, "svd-fit", _svd_fit_chain, y, hyper, m0)
 
 
 def _eigen_fit_chain(cfg, chain: int, rng, out: Path, net, hyper, cov) -> None:

@@ -1,3 +1,4 @@
+import decimal
 import json
 import logging
 import os
@@ -223,10 +224,13 @@ class TestParsers:
         "1,2,3\n", "1\n2\n3\n", "5", "1,2\n3\n", "1,2\n3,4,5\n", "1,2\n3,x\n",
         "\ufeff1,2\n3,4\n", "1_000,2\n3,4\n", "1\x1c,2\n3,4\n",
         "nan,NaN\ninf,-Infinity\n", " 1 ,\t2\n3,4\n", "", "\n\n", "NA\n",
-        "1,2\n3,4\nNA,NA\n", "1e400,-0\n.5,5.\n"],
+        "1,2\n3,4\nNA,NA\n", "1e400,-0\n.5,5.\n", "-0,1", "1,-0", "-0e5,-0.0",
+        "-1e-400,1e-400", "123456789012345678901234567890,1",
+        "-9223372036854775809,9007199254740993", "1],[2", "[1,2]", "true,1",
+        "01,2", "+1,2", "1E+05,1e-5", "1e-0,2"],
         ids=lambda text: repr(text)[1:-1])
     def test_read_matrix_agrees_with_the_full_parser(self, tmp_path, text):
-        # the loadtxt fast path returns what the field-by-field parser
+        # the orjson fast path returns what the field-by-field parser
         # returns, or leaves the input to it and so raises its ParseError
         p = tmp_path / "m.csv"
         p.write_bytes(text.encode())
@@ -244,6 +248,36 @@ class TestParsers:
             assert fast.shape == full.shape
             np.testing.assert_array_equal(fast, full)
             assert (np.signbit(fast) == np.signbit(full)).all()
+
+    def test_orjson_reads_hard_tokens_bit_for_bit(self, tmp_path, monkeypatch):
+        # the tokens on which a decimal-to-double conversion most often
+        # errs, each compared bit for bit with float: repr of random bit
+        # patterns, 17-25 significant digits over the whole exponent range
+        # (those that overflow dropped), and the exact decimal halfway
+        # point between neighbouring doubles, down into the subnormals
+        rng = np.random.default_rng(25)
+        bits = rng.integers(0, 2**64, 4000, dtype=np.uint64)
+        tokens = [repr(x) for x in bits.view(np.float64).tolist() if np.isfinite(x)]
+        for _ in range(4000):
+            digits = "".join(map(str, rng.integers(0, 10, rng.integers(17, 26))))
+            tokens.append(f"{rng.choice(['', '-'])}{rng.integers(1, 10)}.{digits[1:]}"
+                          f"e{rng.integers(-330, 311)}")
+        tokens = [tok for tok in tokens if np.isfinite(float(tok))]
+        with decimal.localcontext(decimal.Context(prec=2000)):
+            # positive doubles below the largest, whose neighbour is finite
+            for x in rng.integers(0, 2**63 - 2**52 - 1, 4000,
+                                  dtype=np.int64).view(np.float64).tolist():
+                half = (decimal.Decimal(x) + decimal.Decimal(np.nextafter(x, np.inf))) / 2
+                tokens.append(f"{rng.choice(['', '-'])}{half}")
+        tokens = tokens[:len(tokens) // 10 * 10]
+        assert len(tokens) >= 10_000
+        p = tmp_path / "hard.csv"
+        p.write_text("\n".join(",".join(tokens[k:k + 10])
+                               for k in range(0, len(tokens), 10)) + "\n")
+        monkeypatch.setattr(csvio, "_read_table", None)
+        back = csvio.read_matrix(p).ravel()
+        expected = np.array([float(tok) for tok in tokens])
+        assert back.tobytes() == expected.tobytes()
 
     def test_large_shortest_repr_file_round_trips_bit_for_bit(self, tmp_path,
                                                                monkeypatch):
@@ -366,9 +400,15 @@ class TestSvdFit:
         assert not (tmp_path / "fit").exists()
 
     @pytest.mark.parametrize("fault,chains", [("shape", 1), ("missing", 1),
-                                              ("shape", 2)])
-    def test_bad_truth_rejected_before_any_output(self, tmp_path, capsys, fault,
-                                                  chains):
+                                              ("shape", 2), ("missing", 2),
+                                              ("absent", 1), ("absent", 2)])
+    def test_bad_truth_rejected_before_any_output(self, tmp_path, capsys,
+                                                  monkeypatch, fault, chains):
+        # a truth of the wrong shape, with a missing entry, or no file at
+        # all is rejected while the inputs are read, before any chain runs
+        def no_chain(*args):
+            raise AssertionError("a chain was started")
+        monkeypatch.setattr(cli, "_fan_out", no_chain)
         run_cli("svd-sim", "--m", 12, "--n", 8, "--rank-true", 2,
                 "--out-dir", tmp_path, "--seed", 1)
         m0 = csvio.read_matrix(tmp_path / "M0.csv")
@@ -377,10 +417,12 @@ class TestSvdFit:
         else:
             m0[3, 4] = np.nan
         truth = tmp_path / "bad_truth.csv"
-        csvio.write_matrix(truth, m0)
+        if fault != "absent":
+            csvio.write_matrix(truth, m0)
         assert run_cli("svd-fit", "--input", tmp_path / "Y.csv", "--truth", truth,
                        "--rank", 2, "--iters", 5, "--thin", 5, "--chains", chains,
-                       "--out-dir", tmp_path / "fit", "--seed", 1) == 2
+                       "--out-dir", tmp_path / "fit",
+                       "--seed", 1) == (3 if fault == "absent" else 2)
         assert "bad_truth.csv" in capsys.readouterr().err
         assert [p for p in (tmp_path / "fit").rglob("*") if p.is_file()] == []
         assert not (tmp_path / "fit").exists()
@@ -538,6 +580,23 @@ class TestChains:
                 "--thin", 5, "--seed", 8, "--out-dir", tmp_path / "single")
         assert ((tmp_path / "multi" / "chain_00" / "lambda_theta_trace.csv").read_bytes()
                 == (tmp_path / "single" / "lambda_theta_trace.csv").read_bytes())
+
+    def test_truth_is_parsed_once_in_the_parent(self, tmp_path, monkeypatch):
+        # the chains get the parsed truth from the parent, which reads
+        # each input once however many chains run
+        run_cli("svd-sim", "--m", 12, "--n", 8, "--rank-true", 2,
+                "--out-dir", tmp_path, "--seed", 3)
+        read = csvio.read_matrix
+        paths = []
+        monkeypatch.setattr(csvio, "read_matrix",
+                            lambda path: paths.append(str(path)) or read(path))
+        assert run_cli("svd-fit", "--input", tmp_path / "Y.csv",
+                       "--truth", tmp_path / "M0.csv", "--rank", 2,
+                       "--iters", 10, "--thin", 5, "--chains", 2, "--seed", 3,
+                       "--out-dir", tmp_path / "multi") == 0
+        assert paths == [str(tmp_path / "Y.csv"), str(tmp_path / "M0.csv")]
+        for k in (0, 1):
+            assert (tmp_path / "multi" / f"chain_{k:02d}" / "summary.csv").exists()
 
     @pytest.mark.parametrize("chains", [0, -2])
     def test_nonpositive_chains_rejected(self, tmp_path, net_file, capsys,

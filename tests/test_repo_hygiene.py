@@ -1,7 +1,7 @@
 """Build and run artefacts stay out of version control, every package
 that the program imports is declared, the module attributes that the
-benchmark harness patches exist, and the README documents every exported
-function."""
+benchmark harness patches exist, the README documents every exported
+function, and no chain function reads a file."""
 import ast
 import importlib
 import importlib.util
@@ -104,3 +104,31 @@ def test_readme_table_lists_exactly_the_exported_functions():
     assert documented, "no sampling-primitives table in README.md"
     assert exported - documented == set(), "exported but not in the README table"
     assert documented - exported == set(), "in the README table but not exported"
+
+
+def test_no_chain_function_reads_a_file():
+    # the inputs are read and checked once, in the parent, before any
+    # chain runs; a chain function (the one each _fan_out call is handed)
+    # gets them as arguments and opens no file
+    from stiefel_mcmc import cli
+
+    tree = ast.parse(inspect.getsource(cli))
+    chain_fns = {node.args[2].id for node in ast.walk(tree)
+                 if isinstance(node, ast.Call)
+                 and isinstance(node.func, ast.Name) and node.func.id == "_fan_out"}
+    assert chain_fns == {"_svd_fit_chain", "_eigen_fit_chain"}
+    reads = []
+    for fn in tree.body:
+        if not (isinstance(fn, ast.FunctionDef) and fn.name in chain_fns):
+            continue
+        for node in ast.walk(fn):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if isinstance(func, ast.Name) and func.id == "open":
+                reads.append(f"{fn.name}: open")
+            elif (isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name)
+                  and func.value.id == "csvio"
+                  and func.attr.startswith(("read_", "parse_"))):
+                reads.append(f"{fn.name}: csvio.{func.attr}")
+    assert reads == []
