@@ -89,7 +89,9 @@ def _log_chain_rate(chain: int, iters: int, seconds: float,
 def _svd_fit_chain(cfg, chain: int, rng, out: Path, y, hyper, m0) -> None:
     start = time.perf_counter()
     result = svd_model.run_svd_gibbs(y, cfg.rank, hyper, cfg.iters, cfg.thin, rng)
-    _log_chain_rate(chain, cfg.iters, time.perf_counter() - start)
+    repairs = result.counts.frame_repairs
+    _log_chain_rate(chain, cfg.iters, time.perf_counter() - start,
+                    f", frame_repairs {repairs}")
     rank_r = svd_model.rank_r_approximation(result.m_posterior_mean, cfg.rank)
 
     csvio.write_trace(out / "d_trace.csv",
@@ -108,7 +110,8 @@ def _svd_fit_chain(cfg, chain: int, rng, out: Path, y, hyper, m0) -> None:
         ])
     csvio.write_manifest(out / "manifest.json",
                          _chain_manifest(cfg, chain,
-                                         {"saved_count": result.saved_count}))
+                                         {"saved_count": result.saved_count,
+                                          "frame_repairs": repairs}))
 
 
 def cmd_svd_fit(cfg) -> int:

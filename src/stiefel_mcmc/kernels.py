@@ -64,9 +64,10 @@ MAX_SHIFT_OVER_B = 1e10
 
 @dataclass
 class DrawCounts:
-    """A chain's Bingham diagnostics: column draws that tested proposals,
-    proposals tested in all and at most in one draw, draws whose shift
-    took the bisection fallback, and frame repairs."""
+    """A chain's sweep diagnostics: Bingham column draws that tested
+    proposals, proposals tested in all and at most in one draw, draws
+    whose shift took the bisection fallback, and frame repairs of either
+    sweep."""
 
     draws: int = 0
     proposals: int = 0
@@ -419,14 +420,14 @@ def _envelope(a: np.ndarray, others: np.ndarray, start: np.ndarray | None,
 
 
 def _acg_envelope_parameter(lam_hat: Sequence[float],
-                            weights: Sequence[float] | None = None,
-                            rtol: float = 1e-15) -> float:
+                            weights: Sequence[float],
+                            rtol: float) -> float:
     """Solve F(b) = sum_i w_i/(b + 2 lam_hat_i) = 1 for b in [1, q], q = sum_i w_i.
 
     lam_hat >= 0 has a zero entry of weight at least 1 (the maximum of
-    lam); weights default to 1, and others let a few nodes stand for a
-    spectrum (the kernel passes three, hence plain loops). Newton's method
-    from b = 1 on h(b) = 1/F(b) - 1: q/F is a weighted harmonic mean of the
+    lam); weights above 1 let a few nodes stand for a spectrum (the
+    kernel passes three, hence plain loops). Newton's method from b = 1
+    on h(b) = 1/F(b) - 1: q/F is a weighted harmonic mean of the
     b + 2 lam_hat_i, which is concave, so h is increasing and concave, and
     h(1) <= 0 because F(1) >= 1. Every tangent lies above h, so the
     iterates rise monotonically to the root. The step F (F - 1) / sum_i
@@ -436,7 +437,6 @@ def _acg_envelope_parameter(lam_hat: Sequence[float],
     last bits change only the acceptance rate, not the law of the draws.
     """
     two_lam = [2.0 * float(x) for x in lam_hat]
-    weights = [1.0] * len(two_lam) if weights is None else list(weights)
     b = 1.0
     for _ in range(ACG_NEWTON_MAX_STEPS):
         f = slope = 0.0

@@ -29,7 +29,6 @@ chain actually needs to move.
 """
 from __future__ import annotations
 
-import functools
 import logging
 
 import numpy as np
@@ -88,36 +87,35 @@ def _ensure_frame(entries: np.ndarray, counts=None) -> OrthonormalFrame:
         return OrthonormalFrame(orthonormalize(entries))
 
 
-@functools.lru_cache(maxsize=16)
-def _other_columns(r: int) -> tuple[np.ndarray, ...]:
-    """For each column j of an r-column frame, the indices of the other
-    columns, cached per r: indexing by them costs about a third of
-    ``np.delete``. Read-only, since every sweep shares them."""
-    rest = tuple(np.delete(np.arange(r), j) for j in range(r))
-    for idx in rest:
-        idx.flags.writeable = False
-    return rest
-
-
 def _sweep_columns(u: np.ndarray, draw) -> np.ndarray:
     """Redraw the columns of u in place, in order: column j becomes
     draw(j, others), others being the other columns as they stand (m x 0
-    for a single column). The one column-update shape of both sweeps."""
-    for j, rest in enumerate(_other_columns(u.shape[1])):
-        u[:, j] = draw(j, u[:, rest])
+    for a single column). The one column-update shape of both sweeps.
+    Column j, once drawn, goes into slot j of the others, which turns
+    column j's others into column j+1's."""
+    # Fortran order, as the gather u[:, rest] gave: BLAS sums the kernels'
+    # products in an order set by the layout, and a C-ordered buffer
+    # changes seeded draws in their last bits
+    others = np.array(u[:, 1:], order="F")
+    for j in range(u.shape[1]):
+        u[:, j] = draw(j, others)
+        if j < others.shape[1]:
+            others[:, j] = u[:, j]
     return u
 
 
 def sample_mf_matrix_gibbs(C: np.ndarray,
                            current: OrthonormalFrame,
-                           rng: np.random.Generator) -> OrthonormalFrame:
+                           rng: np.random.Generator,
+                           counts=None) -> OrthonormalFrame:
     """One Gibbs sweep over columns targeting density prop-to etr(C'U).
 
     Column j is redrawn from its full conditional, the vector MF law
     exp(c_j'u) on the unit sphere orthogonal to the other columns, by
     ``kernels.mf_vector(c_j, rng, others)``: no basis of that complement
     is formed, so a sweep costs O(m r^2). For R = 1 each sweep is one
-    exact vector draw, the same draws as ``sample_mf_vector``.
+    exact vector draw, the same draws as ``sample_mf_vector``. `counts`,
+    if given, counts frame repairs.
     """
     c = np.asarray(C, dtype=np.float64)
     if c.shape != (current.rows, current.cols):
@@ -128,7 +126,7 @@ def sample_mf_matrix_gibbs(C: np.ndarray,
         raise InputError("C has non-finite entries")
     u = _sweep_columns(current.entries.copy(),
                        lambda j, others: kernels.mf_vector(c[:, j], rng, others))
-    return _ensure_frame(u)
+    return _ensure_frame(u, counts)
 
 
 def sample_bingham_matrix_gibbs(A: np.ndarray,

@@ -23,6 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import kernels
 from .errors import DimensionError, InputError
 from .frames import OrthonormalFrame, random_uniform_frame
 from .samplers import run_chain, sample_mf_matrix_gibbs
@@ -124,14 +125,16 @@ def mf_parameter_for_v(state: SvdModelState, yu: np.ndarray) -> np.ndarray:
 
 
 def update_u(state: SvdModelState, y: np.ndarray,
-             rng: np.random.Generator) -> SvdModelState:
-    new_u = sample_mf_matrix_gibbs(mf_parameter_for_u(state, y), state.U, rng)
+             rng: np.random.Generator, counts=None) -> SvdModelState:
+    new_u = sample_mf_matrix_gibbs(mf_parameter_for_u(state, y), state.U, rng,
+                                   counts)
     return replace(state, U=new_u)
 
 
 def update_v(state: SvdModelState, yu: np.ndarray,
-             rng: np.random.Generator) -> SvdModelState:
-    new_v = sample_mf_matrix_gibbs(mf_parameter_for_v(state, yu), state.V, rng)
+             rng: np.random.Generator, counts=None) -> SvdModelState:
+    new_v = sample_mf_matrix_gibbs(mf_parameter_for_v(state, yu), state.V, rng,
+                                   counts)
     return replace(state, V=new_v)
 
 
@@ -195,9 +198,10 @@ def update_variances(state: SvdModelState, y: np.ndarray, yu: np.ndarray,
 
 
 def gibbs_iteration(state: SvdModelState, y: np.ndarray, y_sq: float,
-                    hyper: SvdHyperParams,
-                    rng: np.random.Generator) -> SvdModelState:
-    """One Gibbs iteration in the order U, V, d, sigma^2, tau^2.
+                    hyper: SvdHyperParams, rng: np.random.Generator,
+                    counts=None) -> SvdModelState:
+    """One Gibbs iteration in the order U, V, d, sigma^2, tau^2; `counts`
+    is the U and V sweeps'.
 
     y is the data matrix as a float ndarray, read by two products:
     Y V D / sigma^2 for the U update, and Y'U, formed once after it, for
@@ -205,9 +209,9 @@ def gibbs_iteration(state: SvdModelState, y: np.ndarray, y_sq: float,
     transpose of (R-column factor)' times y or y', the orientation in
     which BLAS reads a row-major y fastest (docs/decisions.md).
     """
-    state = update_u(state, y, rng)
+    state = update_u(state, y, rng, counts)
     yu = (state.U.entries.T @ y).T
-    state = update_v(state, yu, rng)
+    state = update_v(state, yu, rng, counts)
     state = update_d(state, yu, rng)
     return update_variances(state, y, yu, y_sq, hyper, rng)
 
@@ -218,6 +222,7 @@ class SvdGibbsResult:
     m_posterior_mean: np.ndarray  # (m, n)
     saved_iters: np.ndarray      # (saved,), the iteration number of each row
     start: SvdModelState         # the MLE start; start.mean_matrix() is the rank-R MLE
+    counts: kernels.DrawCounts   # the U and V sweeps' frame repairs
 
     @property
     def saved_count(self) -> int:
@@ -227,18 +232,20 @@ class SvdGibbsResult:
 def run_svd_gibbs(y, rank: int, hyper: SvdHyperParams, iters: int, thin: int,
                   rng: np.random.Generator) -> SvdGibbsResult:
     """``samplers.run_chain`` from the MLE start, which the result keeps,
-    saving every `thin`-th iteration. d is left unsorted inside the chain;
-    only the trace holds |d| sorted decreasing, since anything else would
-    change the target."""
+    saving every `thin`-th iteration and counting the U and V sweeps'
+    frame repairs. d is left unsorted inside the chain; only the trace
+    holds |d| sorted decreasing, since anything else would change the
+    target."""
     ymat = np.asarray(y, dtype=np.float64)
     start = mle_init(ymat, rank)
     y_sq = float(np.vdot(ymat, ymat))
+    counts = kernels.DrawCounts()
     trace, mean, saved = run_chain(
-        start, lambda s: gibbs_iteration(s, ymat, y_sq, hyper, rng),
+        start, lambda s: gibbs_iteration(s, ymat, y_sq, hyper, rng, counts),
         lambda s: (np.sort(np.abs(s.d))[::-1], s.U.entries * s.d, s.V.entries),
         iters, 0, thin)
     return SvdGibbsResult(d_trace=trace, m_posterior_mean=mean,
-                          saved_iters=saved, start=start)
+                          saved_iters=saved, start=start, counts=counts)
 
 
 def rank_r_approximation(mat: np.ndarray, rank: int) -> np.ndarray:

@@ -91,6 +91,18 @@ def truncnorm_left_two_branch(a: float, rng: np.random.Generator) -> float:
             return float(x)
 
 
+def sweep_columns_gather(u: np.ndarray, draw) -> np.ndarray:
+    """`samplers._sweep_columns` as a gather per column: column j becomes
+    draw(j, u[:, rest]), rest the indices of the other columns, so each
+    column is handed a fresh copy of the others as they stand (Fortran
+    ordered for a C-ordered u). The reference for the sweep's one
+    working buffer, whose draws it must repeat bit for bit."""
+    r = u.shape[1]
+    for j in range(r):
+        u[:, j] = draw(j, u[:, np.delete(np.arange(r), j)])
+    return u
+
+
 def mf_matrix_gibbs_qr(C: np.ndarray, U: np.ndarray,
                        rng: np.random.Generator) -> np.ndarray:
     """One column sweep targeting etr(C'U), r >= 2, by the complete-QR

@@ -351,6 +351,20 @@ class TestSvdFit:
         trace = (tmp_path / "fit" / "d_trace.csv").read_text().splitlines()
         assert len(trace) == 2
 
+    def test_manifest_and_info_line_report_frame_repairs(self, tmp_path, caplog):
+        run_cli("svd-sim", "--m", 12, "--n", 8, "--rank-true", 2,
+                "--out-dir", tmp_path, "--seed", 1)
+        with caplog.at_level(logging.INFO, logger="stiefel_mcmc"):
+            assert run_cli("svd-fit", "--input", tmp_path / "Y.csv", "--rank", 3,
+                           "--iters", 20, "--thin", 5,
+                           "--out-dir", tmp_path / "fit", "--seed", 1) == 0
+        manifest = json.loads((tmp_path / "fit" / "manifest.json").read_text())
+        assert manifest["frame_repairs"] == 0
+        [line] = [r.getMessage() for r in caplog.records
+                  if r.levelno == logging.INFO and "Gibbs iterations" in r.getMessage()]
+        assert line.startswith("chain 0: 20 Gibbs iterations in ")
+        assert line.endswith(" iterations/s), frame_repairs 0")
+
     def test_no_truth_no_summary(self, tmp_path):
         run_cli("svd-sim", "--m", 12, "--n", 8, "--rank-true", 2,
                 "--out-dir", tmp_path, "--seed", 1)

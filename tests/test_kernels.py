@@ -198,7 +198,7 @@ def _envelope_spectra():
 def test_acg_envelope_parameter_solves_and_matches_bisection():
     for lam_hat in _envelope_spectra():
         q = lam_hat.shape[0]
-        b = kernels._acg_envelope_parameter(lam_hat)
+        b = kernels._acg_envelope_parameter(lam_hat, np.ones(q), rtol=1e-15)
         assert 1.0 <= b <= q
         assert abs(np.sum(1.0 / (b + 2.0 * lam_hat)) - 1.0) <= 1e-12
         ref = acg_envelope_parameter_bisection(lam_hat)
@@ -209,15 +209,17 @@ def test_acg_envelope_parameter_weights_count_repeated_nodes():
     # a node of weight w stands for w equal entries
     lam_hat = np.array([0.0, 2.5, 40.0])
     weights = np.array([1.0, 7.0, 12.0])
-    b = kernels._acg_envelope_parameter(lam_hat, weights)
+    b = kernels._acg_envelope_parameter(lam_hat, weights, rtol=1e-15)
     assert b == pytest.approx(
-        kernels._acg_envelope_parameter(np.repeat(lam_hat, [1, 7, 12])), rel=1e-12)
+        kernels._acg_envelope_parameter(np.repeat(lam_hat, [1, 7, 12]), np.ones(20),
+                                        rtol=1e-15), rel=1e-12)
     assert abs(float(np.sum(weights / (b + 2.0 * lam_hat))) - 1.0) <= 1e-12
 
 
 def test_acg_envelope_parameter_raises_instead_of_returning_unconverged():
     with pytest.raises(RuntimeError, match="did not converge"):
-        kernels._acg_envelope_parameter(np.array([0.0, np.nan, 1.0]))
+        kernels._acg_envelope_parameter(np.array([0.0, np.nan, 1.0]), np.ones(3),
+                                        rtol=1e-15)
 
 
 @pytest.mark.parametrize("q", [3, 5])

@@ -9,6 +9,7 @@ from scipy import stats
 from stiefel_mcmc import (
     DimensionError,
     InputError,
+    kernels,
     random_uniform_frame,
     sample_mf_matrix_gibbs,
     sample_mf_vector,
@@ -231,6 +232,23 @@ def test_frame_repair_is_counted(caplog, monkeypatch):
     assert record.levelno == logging.WARNING
     assert "re-orthonormalized the 7x3 frame" in record.getMessage()
     assert frame_defect(repaired.entries) <= 1e-14
+
+
+def test_mf_sweep_counts_a_frame_repair(monkeypatch, caplog):
+    # columns 1e-9 off unit length put U'U off I by 2e-9 > FRAME_TOL
+    mf_vector = kernels.mf_vector
+    monkeypatch.setattr(kernels, "mf_vector", lambda c, rng, others:
+                        (1.0 + 1e-9) * mf_vector(c, rng, others))
+    rng = np.random.default_rng(70)
+    counts = DrawCounts()
+    with caplog.at_level(logging.WARNING, logger="stiefel_mcmc"):
+        frame = sample_mf_matrix_gibbs(rng.standard_normal((7, 3)),
+                                       random_uniform_frame(7, 3, rng), rng,
+                                       counts)
+    assert counts.frame_repairs == 1
+    assert frame_defect(frame.entries) <= 1e-14
+    [record] = caplog.records
+    assert "re-orthonormalized the 7x3 frame" in record.getMessage()
 
 
 def test_intact_frame_is_not_logged(caplog):

@@ -1,7 +1,8 @@
 """Build and run artefacts stay out of version control, every package
 that the program imports is declared, the module attributes that the
-benchmark harness patches exist, the README documents every exported
-function, and no chain function reads a file."""
+benchmark harness patches exist, every per-layer metric names a function
+it times, the README documents every exported function, and no chain
+function reads a file."""
 import ast
 import importlib
 import importlib.util
@@ -88,6 +89,46 @@ def test_the_seams_the_benchmark_patches_exist(tmp_path):
                      "--seed", "1", "--out-dir", str(tmp_path)]) == 0
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["backend"] == kernels.BACKEND
+
+
+def test_every_per_layer_metric_names_a_traced_function():
+    # perfbench/child.py times the public functions of its LAYER_MODULES and
+    # the kernels in kernels.__all__; a per-layer metric of BENCHMARK.json
+    # whose function was renamed or made private would silently read 0
+    spec = importlib.util.spec_from_file_location(
+        "child", REPO_ROOT / "perfbench" / "child.py")
+    child = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(child)
+    from stiefel_mcmc import kernels
+
+    def traced(short):
+        module = importlib.import_module(f"stiefel_mcmc.{short}")
+        if short == "kernels":
+            impl = inspect.getmodule(kernels.mf_vector)
+            return {name for name in kernels.__all__
+                    if inspect.isfunction(getattr(impl, name, None))}
+        return {name for name, fn in vars(module).items()
+                if inspect.isfunction(fn) and fn.__module__ == module.__name__
+                and not name.startswith("_")}
+
+    benchmark = json.loads((REPO_ROOT / "BENCHMARK.json").read_text())
+    checked = set()
+    for metric in benchmark["per_layer"]:
+        short, _, rest = metric["name"].partition(".")
+        fn, _, stat = rest.rpartition(".")
+        if (stat not in {"self_s", "total_s", "calls"}
+                or short not in {*child.LAYER_MODULES, "kernels"}):
+            continue
+        if (short, fn) == ("csvio", "read"):
+            assert any(name.startswith(("read_", "parse_"))
+                       for name in traced("csvio")), metric["name"]
+        elif (short, fn) == ("csvio", "write"):
+            assert any(name.startswith("write_") for name in traced("csvio")), \
+                metric["name"]
+        else:
+            assert fn in traced(short), metric["name"]
+        checked.add(short)
+    assert checked == {"csvio", "kernels", "samplers", "svd_model", "eigenmodel"}
 
 
 def test_readme_table_lists_exactly_the_exported_functions():
