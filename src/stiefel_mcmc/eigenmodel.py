@@ -26,7 +26,7 @@ import numpy as np
 from . import kernels
 from .errors import ConstraintError, DimensionError, InputError
 from .frames import OrthonormalFrame, random_uniform_frame, require_symmetric
-from .samplers import run_chain, sample_bingham_matrix_gibbs
+from .samplers import Chain, run_chain, sample_bingham_matrix_gibbs
 
 MISSING = -1  # code for unobserved entries (includes the whole diagonal)
 
@@ -207,35 +207,20 @@ def check_sign_constraints(y: SymmetricBinaryNetwork, z: np.ndarray) -> None:
             f"y = {codes[i, j]}")
 
 
-@dataclass(frozen=True)
-class EigenGibbsResult:
-    lambda_trace: np.ndarray   # (saved, R), each row sorted increasing
-    theta_trace: np.ndarray    # (saved,)
-    m_bar: np.ndarray          # posterior mean of U Lambda U'
-    saved_iters: np.ndarray    # (saved,), the iteration number of each row
-    counts: kernels.DrawCounts  # the U sweeps' proposals, fallbacks and repairs
-
-    @property
-    def saved_count(self) -> int:
-        return len(self.saved_iters)
-
-
 def run_eigenmodel_gibbs(y: SymmetricBinaryNetwork, hyper: EigenHyperParams,
                          iters: int, burn: int, thin: int,
-                         rng: np.random.Generator) -> EigenGibbsResult:
-    """``samplers.run_chain`` from ``initial_state``, saving sorted lambda
-    and theta and counting the U sweeps' diagnostics. Each step calls
-    ``gibbs_iteration`` through this module's global, so a wrapper put
-    there from outside sees every iteration."""
-    counts = kernels.DrawCounts()
-    trace, m_bar, saved = run_chain(
+                         rng: np.random.Generator) -> Chain:
+    """``samplers.run_chain`` from ``initial_state``: each trace row is
+    lambda sorted increasing, then theta; the mean is the posterior mean
+    of U Lambda U'; the counts are the U sweeps' proposals, fallbacks and
+    repairs. Each step calls ``gibbs_iteration`` through this module's
+    global, so a wrapper put there from outside sees every iteration."""
+    return run_chain(
         initial_state(y, hyper, rng),
-        lambda s: gibbs_iteration(s, y, hyper, rng, counts),
+        lambda s, counts: gibbs_iteration(s, y, hyper, rng, counts),
         lambda s: (np.append(np.sort(s.lam), s.theta), s.U.entries * s.lam,
                    s.U.entries),
         iters, burn, thin)
-    return EigenGibbsResult(lambda_trace=trace[:, :-1], theta_trace=trace[:, -1],
-                            m_bar=m_bar, saved_iters=saved, counts=counts)
 
 
 def latent_positions(m_bar: np.ndarray, rank: int) -> tuple[np.ndarray, np.ndarray]:

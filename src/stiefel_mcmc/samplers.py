@@ -30,6 +30,8 @@ chain actually needs to move.
 from __future__ import annotations
 
 import logging
+import time
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -173,13 +175,32 @@ def sample_bingham_matrix_gibbs(A: np.ndarray,
 MEAN_BLOCK_COLUMNS = 64
 
 
-def run_chain(state, step, record, iters: int, burn: int, thin: int):
-    """``state = step(state)`` for iterations 1..iters, saving each one
-    after `burn` that is a multiple of `thin`: ``record(state)`` gives
-    (row, left, right), row goes to the trace and left @ right.T to the
-    mean, summed K = max(1, MEAN_BLOCK_COLUMNS // R) draws at a time, R
-    being the columns of left, as one (m x KR)(KR x n) product. Returns
-    (trace, mean, saved_iters)."""
+@dataclass(frozen=True)
+class Chain:
+    """What ``run_chain`` returns: the start it was given, the saved rows,
+    the posterior mean, the iteration number of each row, the chain's one
+    ``kernels.DrawCounts`` and the seconds its iterations took."""
+
+    start: object
+    trace: np.ndarray
+    mean: np.ndarray
+    saved_iters: np.ndarray
+    counts: kernels.DrawCounts
+    seconds: float
+
+    @property
+    def saved_count(self) -> int:
+        return len(self.saved_iters)
+
+
+def run_chain(start, step, record, iters: int, burn: int, thin: int) -> Chain:
+    """``state = step(state, counts)`` for iterations 1..iters from `start`,
+    counts being the chain's one ``kernels.DrawCounts``, saving each
+    iteration after `burn` that is a multiple of `thin`: ``record(state)``
+    gives (row, left, right), row goes to the trace and left @ right.T to
+    the mean, summed K = max(1, MEAN_BLOCK_COLUMNS // R) draws at a time,
+    R being the columns of left, as one (m x KR)(KR x n) product. The
+    Chain's seconds cover the iterations only."""
     if iters <= burn or burn < 0 or thin < 1:
         raise InputError(
             f"need iters > burn >= 0 and thin >= 1, got {iters}/{burn}/{thin}")
@@ -187,10 +208,12 @@ def run_chain(state, step, record, iters: int, burn: int, thin: int):
         raise InputError(
             f"the schedule iters={iters}, burn={burn}, thin={thin} saves no "
             f"draw: no multiple of {thin} lies in {burn + 1}..{iters}")
-    trace, saved_iters, pending, msum = [], [], [], 0.0
+    counts = kernels.DrawCounts()
+    state, trace, saved_iters, pending, msum = start, [], [], [], 0.0
     last = iters - iters % thin  # the last save also sums a partial block
+    clock = time.perf_counter()
     for it in range(1, iters + 1):
-        state = step(state)
+        state = step(state, counts)
         if it > burn and it % thin == 0:
             row, left, right = record(state)
             trace.append(row)
@@ -201,4 +224,6 @@ def run_chain(state, step, record, iters: int, burn: int, thin: int):
                 left, right = (np.hstack(cols) for cols in zip(*pending))
                 msum += left @ right.T
                 pending = []
-    return np.array(trace), msum / len(saved_iters), np.array(saved_iters)
+    seconds = time.perf_counter() - clock
+    return Chain(start, np.array(trace), msum / len(saved_iters),
+                 np.array(saved_iters), counts, seconds)

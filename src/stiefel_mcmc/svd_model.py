@@ -23,10 +23,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import kernels
 from .errors import DimensionError, InputError
 from .frames import OrthonormalFrame, random_uniform_frame
-from .samplers import run_chain, sample_mf_matrix_gibbs
+from .samplers import Chain, run_chain, sample_mf_matrix_gibbs
 
 
 @dataclass(frozen=True)
@@ -216,36 +215,21 @@ def gibbs_iteration(state: SvdModelState, y: np.ndarray, y_sq: float,
     return update_variances(state, y, yu, y_sq, hyper, rng)
 
 
-@dataclass(frozen=True)
-class SvdGibbsResult:
-    d_trace: np.ndarray          # (saved, R), each row sorted decreasing
-    m_posterior_mean: np.ndarray  # (m, n)
-    saved_iters: np.ndarray      # (saved,), the iteration number of each row
-    start: SvdModelState         # the MLE start; start.mean_matrix() is the rank-R MLE
-    counts: kernels.DrawCounts   # the U and V sweeps' frame repairs
-
-    @property
-    def saved_count(self) -> int:
-        return len(self.saved_iters)
-
-
 def run_svd_gibbs(y, rank: int, hyper: SvdHyperParams, iters: int, thin: int,
-                  rng: np.random.Generator) -> SvdGibbsResult:
-    """``samplers.run_chain`` from the MLE start, which the result keeps,
-    saving every `thin`-th iteration and counting the U and V sweeps'
+                  rng: np.random.Generator) -> Chain:
+    """``samplers.run_chain`` from the MLE start, saving every `thin`-th
+    iteration: the trace holds |d| sorted decreasing, the mean is the
+    posterior mean of U diag(d) V', and the counts are the U and V sweeps'
     frame repairs. d is left unsorted inside the chain; only the trace
-    holds |d| sorted decreasing, since anything else would change the
-    target."""
+    sorts it, since anything else would change the target. The Chain's
+    start is the MLE, so start.mean_matrix() is the rank-R MLE."""
     ymat = np.asarray(y, dtype=np.float64)
-    start = mle_init(ymat, rank)
     y_sq = float(np.vdot(ymat, ymat))
-    counts = kernels.DrawCounts()
-    trace, mean, saved = run_chain(
-        start, lambda s: gibbs_iteration(s, ymat, y_sq, hyper, rng, counts),
+    return run_chain(
+        mle_init(ymat, rank),
+        lambda s, counts: gibbs_iteration(s, ymat, y_sq, hyper, rng, counts),
         lambda s: (np.sort(np.abs(s.d))[::-1], s.U.entries * s.d, s.V.entries),
         iters, 0, thin)
-    return SvdGibbsResult(d_trace=trace, m_posterior_mean=mean,
-                          saved_iters=saved, start=start, counts=counts)
 
 
 def rank_r_approximation(mat: np.ndarray, rank: int) -> np.ndarray:

@@ -170,7 +170,7 @@ def svd_gibbs_direct(y: np.ndarray, rank: int, hyper, iters: int, thin: int,
                      rng: np.random.Generator):
     """`svd_model.run_svd_gibbs` by `svd_iteration_direct`, adding one
     U diag(d) V' to the posterior-mean sum per saved draw.
-    Returns (d_trace, m_posterior_mean)."""
+    Returns (d_trace, m_posterior_mean), the runner's trace and mean."""
     from stiefel_mcmc.svd_model import mle_init
 
     state = mle_init(y, rank)
@@ -188,7 +188,8 @@ def eigen_gibbs_direct(y, hyper, iters: int, burn: int, thin: int,
     """`eigenmodel.run_eigenmodel_gibbs` as a plain loop over
     `eigenmodel.gibbs_iteration` from `initial_state`, adding one
     U Lambda U' to the posterior-mean sum per saved draw.
-    Returns (lambda_trace, theta_trace, m_bar)."""
+    Returns (lambda_trace, theta_trace, m_bar), the runner's trace[:, :-1],
+    trace[:, -1] and mean."""
     from stiefel_mcmc import eigenmodel as em
 
     state = em.initial_state(y, hyper, rng)

@@ -47,14 +47,14 @@ def svd_runs():
                                thin=5, rng=rng)
         m0 = truth.mean_matrix()
         mle_fit = sm.rank_r_approximation(data, 6)
-        rank_r = sm.rank_r_approximation(res.m_posterior_mean, 6)
+        rank_r = sm.rank_r_approximation(res.mean, 6)
         runs.append({
             "seed": seed,
             "d0": truth.d,
             "d_mle": sm.mle_init(data, 6).d,
-            "d_bar": res.d_trace.mean(axis=0),
+            "d_bar": res.trace.mean(axis=0),
             "mse_mle": sm.mean_squared_error(m0, mle_fit),
-            "mse_bayes": sm.mean_squared_error(m0, res.m_posterior_mean),
+            "mse_bayes": sm.mean_squared_error(m0, res.mean),
             "mse_rank_r": sm.mean_squared_error(m0, rank_r),
             "saved": res.saved_count,
         })
@@ -226,9 +226,9 @@ def eigen_fixture_run():
 
 def test_criterion_7_eigenmodel_synthetic_recovery(eigen_fixture_run):
     ustar, res, _ = eigen_fixture_run
-    pr_pos = float(np.mean((res.lambda_trace > 0).all(axis=1)))
-    theta_err = abs(res.theta_trace.mean() - (-1.0))
-    pos, _ = em.latent_positions(res.m_bar, 2)
+    pr_pos = float(np.mean((res.trace[:, :-1] > 0).all(axis=1)))
+    theta_err = abs(res.trace[:, -1].mean() - (-1.0))
+    pos, _ = em.latent_positions(res.mean, 2)
     sv = np.linalg.svd(pos.T @ ustar.entries, compute_uv=False)
     angles = np.degrees(np.arccos(np.clip(sv, -1.0, 1.0)))
     ok = pr_pos > 0.9 and theta_err < 0.3 and bool(np.all(angles < 25.0))

@@ -263,8 +263,8 @@ class TestRun:
         res = em.run_eigenmodel_gibbs(net, hyper, iters=50, burn=5, thin=5,
                                       rng=rng)
         assert res.saved_count == 9  # s in {10, 15, ..., 50}
-        assert res.lambda_trace.shape == (9, 2)
-        assert res.theta_trace.shape == (9,)
+        assert res.trace[:, :-1].shape == (9, 2)
+        assert res.trace[:, -1].shape == (9,)
 
     def test_saved_iterations(self):
         net, rng = small_net(14)
@@ -295,9 +295,9 @@ class TestRun:
         lam, theta, m_bar = eigen_gibbs_direct(net, hyper, 90, 10, 2,
                                                np.random.default_rng(21))
         assert res.saved_count == 40
-        np.testing.assert_array_equal(res.lambda_trace, lam)
-        np.testing.assert_array_equal(res.theta_trace, theta)
-        np.testing.assert_allclose(res.m_bar, m_bar, rtol=1e-12,
+        np.testing.assert_array_equal(res.trace[:, :-1], lam)
+        np.testing.assert_array_equal(res.trace[:, -1], theta)
+        np.testing.assert_allclose(res.mean, m_bar, rtol=1e-12,
                                    atol=1e-12 * np.abs(m_bar).max())
 
     def test_lambda_trace_sorted_ascending(self):
@@ -306,7 +306,7 @@ class TestRun:
                                     rank=2)
         res = em.run_eigenmodel_gibbs(net, hyper, iters=60, burn=0, thin=3,
                                       rng=rng)
-        assert np.all(np.diff(res.lambda_trace, axis=1) >= 0)
+        assert np.all(np.diff(res.trace[:, :-1], axis=1) >= 0)
 
     def test_all_missing_network_runs(self):
         n = 10
@@ -315,8 +315,8 @@ class TestRun:
         hyper = em.EigenHyperParams(t2_lambda=float(n), t2_theta=100.0, rank=2)
         res = em.run_eigenmodel_gibbs(net, hyper, iters=80, burn=10, thin=5,
                                       rng=rng)
-        assert np.all(np.isfinite(res.theta_trace))
-        assert np.all(np.isfinite(res.m_bar))
+        assert np.all(np.isfinite(res.trace[:, -1]))
+        assert np.all(np.isfinite(res.mean))
 
     def test_all_missing_network_recovers_prior(self):
         # with no observed dyad the posterior is the prior: theta and lambda
@@ -327,9 +327,9 @@ class TestRun:
         hyper = em.EigenHyperParams(t2_lambda=1.0, t2_theta=1.0, rank=1)
         res = em.run_eigenmodel_gibbs(net, hyper, iters=50_000, burn=0, thin=1,
                                       rng=np.random.default_rng(50))
-        lam = res.lambda_trace[:, 0]
-        draws = np.column_stack([lam ** 2, res.theta_trace ** 2,
-                                 lam, res.theta_trace])
+        lam = res.trace[:, 0]
+        draws = np.column_stack([lam ** 2, res.trace[:, -1] ** 2,
+                                 lam, res.trace[:, -1]])
         batch_means = draws.reshape(50, -1, 4).mean(axis=1)
         se = batch_means.std(axis=0, ddof=1) / np.sqrt(50)
         z = (draws.mean(axis=0) - np.array([1.0, 1.0, 0.0, 0.0])) / se
@@ -378,9 +378,9 @@ class TestRun:
         hyper = em.EigenHyperParams(t2_lambda=float(n), t2_theta=100.0, rank=2)
         res = em.run_eigenmodel_gibbs(net, hyper, iters=6000, burn=100,
                                       thin=10, rng=rng)
-        assert np.mean((res.lambda_trace > 0).all(axis=1)) > 0.9
-        assert abs(res.theta_trace.mean()) < 0.3
-        pos, _ = em.latent_positions(res.m_bar, 2)
+        assert np.mean((res.trace[:, :-1] > 0).all(axis=1)) > 0.9
+        assert abs(res.trace[:, -1].mean()) < 0.3
+        pos, _ = em.latent_positions(res.mean, 2)
         sv = np.linalg.svd(pos.T @ ustar.entries, compute_uv=False)
         angles = np.degrees(np.arccos(np.clip(sv, -1.0, 1.0)))
         assert np.all(angles < 35.0)

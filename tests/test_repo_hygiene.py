@@ -1,8 +1,9 @@
 """Build and run artefacts stay out of version control, every package
 that the program imports is declared, the module attributes that the
 benchmark harness patches exist, every per-layer metric names a function
-it times, the README documents every exported function, and no chain
-function reads a file."""
+it times, the README documents every exported function, no chain
+function reads a file, and only the chain runner makes a chain's
+counters."""
 import ast
 import importlib
 import importlib.util
@@ -173,3 +174,26 @@ def test_no_chain_function_reads_a_file():
                   and func.attr.startswith(("read_", "parse_"))):
                 reads.append(f"{fn.name}: csvio.{func.attr}")
     assert reads == []
+
+
+def test_only_the_runner_makes_a_chain_s_counts():
+    # samplers.run_chain makes each chain's one DrawCounts and hands it to
+    # every step; kernels.bingham_spectral may make a throwaway one when
+    # called without. A runner or update making its own would split a
+    # chain's diagnostics across two sinks
+    makers = []
+    for path in sorted((REPO_ROOT / "src").rglob("*.py")):
+        if path.name == "kernels.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        fns = [fn for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)]
+        for node in ast.walk(tree):
+            func = getattr(node, "func", None)
+            if not (isinstance(node, ast.Call) and "DrawCounts" in (
+                    getattr(func, "id", None), getattr(func, "attr", None))):
+                continue
+            owner = max((fn for fn in fns
+                         if fn.lineno <= node.lineno <= fn.end_lineno),
+                        key=lambda fn: fn.lineno, default=None)
+            makers.append(f"{path.stem}.{owner.name if owner else '<module>'}")
+    assert makers == ["samplers.run_chain"]

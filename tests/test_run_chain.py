@@ -1,17 +1,20 @@
+import time
+
 import numpy as np
 import pytest
 
 from stiefel_mcmc import InputError
-from stiefel_mcmc.samplers import MEAN_BLOCK_COLUMNS, run_chain
+from stiefel_mcmc.kernels import DrawCounts
+from stiefel_mcmc.samplers import MEAN_BLOCK_COLUMNS, Chain, run_chain
 
 
 def counter_chain(iters, burn, thin, left=None, right=None):
     """run_chain on an integer counter: the state after iteration it is
-    it, and each saved row is [state]. Returns the result and the number
+    it, and each saved row is [state]. Returns the Chain and the number
     of steps taken."""
     steps = []
 
-    def step(s):
+    def step(s, counts):
         steps.append(s)
         return s + 1
 
@@ -32,10 +35,11 @@ def test_saved_iterations_match_the_schedule():
                     with pytest.raises(InputError, match="saves no draw"):
                         counter_chain(iters, burn, thin)
                     continue
-                (trace, _, saved), steps = counter_chain(iters, burn, thin)
+                chain, steps = counter_chain(iters, burn, thin)
                 assert steps == iters
-                assert saved.tolist() == expected
-                assert trace[:, 0].tolist() == expected
+                assert chain.saved_iters.tolist() == expected
+                assert chain.saved_count == len(expected)
+                assert chain.trace[:, 0].tolist() == expected
 
 
 @pytest.mark.parametrize("rank,iters,burn,thin", [
@@ -53,10 +57,11 @@ def test_blocked_mean_equals_the_per_draw_mean(rank, iters, burn, thin):
     def right(s):
         return np.arange(n * rank, dtype=float).reshape(n, rank) % 5 - s
 
-    (_, mean, saved), _ = counter_chain(iters, burn, thin, left, right)
+    chain, _ = counter_chain(iters, burn, thin, left, right)
+    saved = chain.saved_iters
     per_draw = sum(left(s) @ right(s).T for s in saved) / len(saved)
     assert len(saved) > max(1, MEAN_BLOCK_COLUMNS // rank)
-    np.testing.assert_array_equal(mean, per_draw)
+    np.testing.assert_array_equal(chain.mean, per_draw)
 
 
 @pytest.mark.parametrize("iters,burn,thin,message", [
@@ -70,6 +75,47 @@ def test_blocked_mean_equals_the_per_draw_mean(rank, iters, burn, thin):
 def test_rejected_schedules_run_no_step(iters, burn, thin, message):
     steps = []
     with pytest.raises(InputError) as err:
-        run_chain(0, steps.append, None, iters, burn, thin)
+        run_chain(0, lambda s, counts: steps.append(s), None, iters, burn, thin)
     assert str(err.value) == message
     assert steps == []
+
+
+def row_only(s):
+    """A record that saves [s], or s itself if it is an array, and adds
+    nothing to the mean."""
+    return np.atleast_1d(s), np.zeros((1, 1)), np.zeros((1, 1))
+
+
+def test_every_step_is_handed_the_chain_s_one_counts():
+    handed = []
+
+    def step(s, counts):
+        handed.append(counts)
+        counts.draws += 1
+        return s + 1
+
+    chain = run_chain(0, step, row_only, 7, 2, 1)
+    assert isinstance(chain, Chain)
+    assert isinstance(chain.counts, DrawCounts)
+    assert len(handed) == 7
+    assert all(counts is chain.counts for counts in handed)
+    assert chain.counts.draws == 7
+
+
+def test_chain_keeps_the_start_it_was_given():
+    start = np.arange(3.0)
+    chain = run_chain(start, lambda s, counts: s + 1, row_only, 4, 0, 2)
+    assert chain.start is start
+    np.testing.assert_array_equal(chain.trace, [start + 2, start + 4])
+
+
+def test_seconds_cover_the_iterations_within_the_call():
+    def step(s, counts):
+        time.sleep(0.002)
+        return s + 1
+
+    begin = time.perf_counter()
+    chain = run_chain(0, step, row_only, 5, 0, 1)
+    wall = time.perf_counter() - begin
+    # each of the five steps sleeps at least 2 ms, all inside the clock
+    assert 0.01 <= chain.seconds <= wall

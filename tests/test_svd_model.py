@@ -178,7 +178,7 @@ class TestRunAndEstimators:
         res = sm.run_svd_gibbs(data, 3, sm.SvdHyperParams(), iters=10, thin=5,
                                rng=rng)
         assert res.saved_count == 2
-        assert res.d_trace.shape == (2, 3)
+        assert res.trace.shape == (2, 3)
 
     def test_saved_iterations(self):
         rng = np.random.default_rng(14)
@@ -200,8 +200,8 @@ class TestRunAndEstimators:
         data, _ = sm.simulate_dataset(15, 10, 2, rng)
         res = sm.run_svd_gibbs(data, 4, sm.SvdHyperParams(), iters=40, thin=2,
                                rng=rng)
-        assert np.all(np.diff(res.d_trace, axis=1) <= 0)
-        assert np.all(res.d_trace >= 0)
+        assert np.all(np.diff(res.trace, axis=1) <= 0)
+        assert np.all(res.trace >= 0)
 
     def test_state_stays_valid(self):
         rng = np.random.default_rng(17)
@@ -236,8 +236,8 @@ class TestRunAndEstimators:
         d_trace, m_mean = svd_gibbs_direct(data, 6, hyper, iters, thin,
                                            np.random.default_rng(20))
         assert res.saved_count == 25
-        np.testing.assert_allclose(res.d_trace, d_trace, rtol=1e-9)
-        np.testing.assert_allclose(res.m_posterior_mean, m_mean, rtol=1e-9,
+        np.testing.assert_allclose(res.trace, d_trace, rtol=1e-9)
+        np.testing.assert_allclose(res.mean, m_mean, rtol=1e-9,
                                    atol=1e-9 * np.abs(m_mean).max())
 
     def test_close_fit_sums_the_residual_directly(self):
