@@ -245,8 +245,9 @@ def mf_vector(c: np.ndarray, rng: np.random.Generator,
         zb = rng.beta(half, half)
         den = 1.0 - (1.0 - b) * zb
         one_minus_t = 2.0 * b * zb / den
-        if (kappa * (2.0 * b / (1.0 + b) - one_minus_t)
-                + (q - 1.0) * math.log((1.0 + b) / (2.0 * den))) >= np.log(rng.random()):
+        uniform = rng.random()  # U = 0 accepts, with no log taken of it
+        if not uniform or (kappa * (2.0 * b / (1.0 + b) - one_minus_t)
+                           + (q - 1.0) * math.log((1.0 + b) / (2.0 * den))) >= np.log(uniform):
             break
     t = 1.0 - one_minus_t
 
@@ -283,8 +284,9 @@ def bingham_spectral(a: np.ndarray, rng: np.random.Generator,
     bound. Each batch of PROPOSAL_BATCH proposals is one triangular solve;
     `counts`, if given, records the proposals tested and any fallback.
     ``scipy.linalg`` loads at the first draw, not with the module. Raises
-    InputError when max(|mu|, |a|_F) > MAX_SHIFT_OVER_B * beta, and
-    DimensionError when k >= n. See
+    InputError when a has a non-finite entry or |a|_F^2 overflows, or when
+    max(|mu|, |a|_F) > MAX_SHIFT_OVER_B * beta, and DimensionError when
+    k >= n. See
     docs/decisions.md, "Bingham columns are drawn in A's own basis".
     """
     from scipy.linalg.blas import dsyr2k
@@ -297,7 +299,11 @@ def bingham_spectral(a: np.ndarray, rng: np.random.Generator,
     q = n - k
     counts = DrawCounts() if counts is None else counts
     flat = a.ravel()
-    a_sq = float(flat.dot(flat))
+    with np.errstate(over="ignore"):  # an overflow is reported below by name
+        a_sq = float(flat.dot(flat))
+    if not math.isfinite(a_sq):
+        raise InputError(f"Bingham parameter has a non-finite entry or its "
+                         f"squared norm overflows: |a|_F^2 = {a_sq}")
     if q == 1 or not a_sq:
         return sample_sphere(n, rng, others)
     # C = a - WG' - GW' with G = aW - W(W'aW)/2, never formed
@@ -353,8 +359,9 @@ def bingham_spectral(a: np.ndarray, rng: np.random.Generator,
         x -= others.dot(wx)
         zz -= (wx * wx).sum(axis=0)
         r = zz / (x * x).sum(axis=0)  # y'Dy = 1 + 2s/beta for each proposal
-        passed = (np.log(rng.random(PROPOSAL_BATCH))
-                  < 0.5 * q * np.log(r) - 0.5 * beta * (r - 1.0) - log_m)
+        with np.errstate(divide="ignore"):  # U = 0 gives -inf, which accepts
+            log_u = np.log(rng.random(PROPOSAL_BATCH))
+        passed = log_u < 0.5 * q * np.log(r) - 0.5 * beta * (r - 1.0) - log_m
         if passed.any():
             first = int(passed.argmax())
             counts.draws += 1

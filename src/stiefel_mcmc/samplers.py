@@ -37,13 +37,7 @@ import numpy as np
 
 from . import kernels
 from .errors import ConstraintError, DimensionError, InputError
-from .frames import (
-    FRAME_TOL,
-    OrthonormalFrame,
-    frame_defect,
-    orthonormalize,
-    require_symmetric,
-)
+from .frames import OrthonormalFrame, orthonormalize, require_symmetric
 
 log = logging.getLogger("stiefel_mcmc")
 
@@ -74,36 +68,33 @@ def _centred(A: np.ndarray) -> np.ndarray:
     return a
 
 
-def _ensure_frame(entries: np.ndarray, counts=None) -> OrthonormalFrame:
-    # repair drift instead of failing, and say so and count it; sweeps only
-    # compose orthonormal pieces so this fires rarely even in very long
-    # runs. The frame's own check is the one defect computation of a sweep.
-    try:
-        return OrthonormalFrame(entries)
-    except ConstraintError:
-        log.warning("frame drifted to max |U'U - I| = %.3e > %g; "
-                    "re-orthonormalized the %dx%d frame",
-                    frame_defect(entries), FRAME_TOL, *entries.shape)
-        if counts is not None:
-            counts.frame_repairs += 1
-        return OrthonormalFrame(orthonormalize(entries))
-
-
-def _sweep_columns(u: np.ndarray, draw) -> np.ndarray:
-    """Redraw the columns of u in place, in order: column j becomes
-    draw(j, others), others being the other columns as they stand (m x 0
-    for a single column). The one column-update shape of both sweeps.
-    Column j, once drawn, goes into slot j of the others, which turns
-    column j's others into column j+1's."""
+def _sweep(current: OrthonormalFrame, draw, counts) -> OrthonormalFrame:
+    """One Gibbs sweep from `current`, the column update of both samplers:
+    on a copy of its entries, column j becomes draw(j, u_j, others) in
+    order, u_j and others being column j and the other columns as they
+    stand (m x 0 for a single column). Column j, once drawn, goes into
+    slot j of the others, which turns column j's others into column
+    j+1's. Returns the certified frame; `counts`, if given, counts a
+    repair."""
+    u = current.entries.copy()
     # Fortran order, as the gather u[:, rest] gave: BLAS sums the kernels'
     # products in an order set by the layout, and a C-ordered buffer
     # changes seeded draws in their last bits
     others = np.array(u[:, 1:], order="F")
     for j in range(u.shape[1]):
-        u[:, j] = draw(j, others)
+        u[:, j] = draw(j, u[:, j], others)
         if j < others.shape[1]:
             others[:, j] = u[:, j]
-    return u
+    # repair drift instead of failing, and say so and count it; sweeps only
+    # compose orthonormal pieces so this fires rarely even in very long
+    # runs. The frame's own check is the one defect computation of a sweep.
+    try:
+        return OrthonormalFrame(u)
+    except ConstraintError as drift:
+        log.warning("%s; re-orthonormalized the %dx%d frame", drift, *u.shape)
+        if counts is not None:
+            counts.frame_repairs += 1
+        return OrthonormalFrame(orthonormalize(u))
 
 
 def sample_mf_matrix_gibbs(C: np.ndarray,
@@ -126,9 +117,8 @@ def sample_mf_matrix_gibbs(C: np.ndarray,
             f"{(current.rows, current.cols)} to match the frame")
     if not np.all(np.isfinite(c)):
         raise InputError("C has non-finite entries")
-    u = _sweep_columns(current.entries.copy(),
-                       lambda j, others: kernels.mf_vector(c[:, j], rng, others))
-    return _ensure_frame(u, counts)
+    return _sweep(current, lambda j, u_j, others:
+                  kernels.mf_vector(c[:, j], rng, others), counts)
 
 
 def sample_bingham_matrix_gibbs(A: np.ndarray,
@@ -163,11 +153,8 @@ def sample_bingham_matrix_gibbs(A: np.ndarray,
     # require_symmetric has already rejected a non-finite entry of A
     if not np.isfinite(bvec).all():
         raise InputError("b has non-finite entries")
-
-    u = current.entries.copy()
-    _sweep_columns(u, lambda j, others: kernels.bingham_spectral(
-        bvec[j] * a, rng, others, u[:, j], counts))
-    return _ensure_frame(u, counts)
+    return _sweep(current, lambda j, u_j, others: kernels.bingham_spectral(
+        bvec[j] * a, rng, others, u_j, counts), counts)
 
 
 # Saved draws stacked into one product of the posterior-mean sum: about

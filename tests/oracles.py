@@ -91,16 +91,20 @@ def truncnorm_left_two_branch(a: float, rng: np.random.Generator) -> float:
             return float(x)
 
 
-def sweep_columns_gather(u: np.ndarray, draw) -> np.ndarray:
-    """`samplers._sweep_columns` as a gather per column: column j becomes
-    draw(j, u[:, rest]), rest the indices of the other columns, so each
-    column is handed a fresh copy of the others as they stand (Fortran
-    ordered for a C-ordered u). The reference for the sweep's one
-    working buffer, whose draws it must repeat bit for bit."""
+def sweep_gather(current, draw, counts):
+    """`samplers._sweep` as a gather per column: column j of a copy of
+    current's entries becomes draw(j, u_j, u[:, rest]), rest the indices
+    of the other columns, so each column is handed a fresh copy of the
+    others as they stand (Fortran ordered for a C-ordered u). The
+    reference for the sweep's one working buffer, whose draws it must
+    repeat bit for bit; it repairs no frame."""
+    from stiefel_mcmc import OrthonormalFrame
+
+    u = current.entries.copy()
     r = u.shape[1]
     for j in range(r):
-        u[:, j] = draw(j, u[:, np.delete(np.arange(r), j)])
-    return u
+        u[:, j] = draw(j, u[:, j], u[:, np.delete(np.arange(r), j)])
+    return OrthonormalFrame(u)
 
 
 def mf_matrix_gibbs_qr(C: np.ndarray, U: np.ndarray,

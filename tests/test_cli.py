@@ -1,4 +1,5 @@
 import decimal
+import hashlib
 import json
 import logging
 import os
@@ -812,3 +813,79 @@ def test_svd_path_never_loads_scipy_special(tmp_path, net_file):
                       "eigen_runner_entry": [True, False],
                       "first_column_draw": False, "eigen": True,
                       "codes": [0, 0, 0]}
+
+
+# sha256 prefixes of each numeric output file's values (every field that
+# parses as a number, row by row), rounded to 8 decimals and with -0.0 made
+# 0.0, recorded from seeded fits: a refactor that keeps the draws keeps
+# them. run -> {output path: digest}.
+FIT_DIGESTS = {
+    "svd-fit-truth-r3": {
+        "M_post_mean.csv": "4dafe7a309843b61",
+        "M_rankR.csv": "a94e6f068c543be9",
+        "d_trace.csv": "61736181d627ab46",
+        "summary.csv": "df359744423e052a",
+    },
+    "svd-fit-r1-chains2": {
+        "chain_00/M_post_mean.csv": "47cbb2e362823691",
+        "chain_00/M_rankR.csv": "a513e2c1ac52953a",
+        "chain_00/d_trace.csv": "11843a60422c083a",
+        "chain_01/M_post_mean.csv": "78eb28c1bc700cff",
+        "chain_01/M_rankR.csv": "6076f03223ab7fe6",
+        "chain_01/d_trace.csv": "9aee63efa0bb0e69",
+    },
+    "eigen-fit-r2": {
+        "M_bar.csv": "f1c7188c5f48066a",
+        "lambda_theta_trace.csv": "cb14984be849e0ef",
+        "positions.csv": "270c0dcf80a79663",
+    },
+    "eigen-fit-r1-chains2": {
+        "chain_00/M_bar.csv": "ea4cce0a06808179",
+        "chain_00/lambda_theta_trace.csv": "6be0fa5659b321eb",
+        "chain_00/positions.csv": "07c61aeeabf4da27",
+        "chain_01/M_bar.csv": "c2261e5c0b916f32",
+        "chain_01/lambda_theta_trace.csv": "989f19148618f476",
+        "chain_01/positions.csv": "4bfe8559479b1df9",
+    },
+}
+
+
+def _fit_digests(out):
+    digests = {}
+    for path in sorted(out.rglob("*.csv")):
+        values = []
+        for tok in path.read_text().replace("\n", ",").split(","):
+            try:
+                values.append(float(tok))
+            except ValueError:
+                pass
+        rounded = np.round(np.array(values), 8) + 0.0
+        digests[path.relative_to(out).as_posix()] = hashlib.sha256(
+            rounded.tobytes()).hexdigest()[:16]
+    return digests
+
+
+@pytest.mark.parametrize("run", sorted(FIT_DIGESTS))
+def test_seeded_fit_outputs_match_recorded_digests(tmp_path, run):
+    if run.startswith("svd"):
+        assert run_cli("svd-sim", "--m", 30, "--n", 12, "--rank-true", 2,
+                       "--seed", 4, "--out-dir", tmp_path / "sim") == 0
+        args = ["svd-fit", "--input", tmp_path / "sim" / "Y.csv",
+                "--iters", 40, "--thin", 5]
+        args += {"svd-fit-truth-r3": ["--truth", tmp_path / "sim" / "M0.csv",
+                                      "--rank", 3],
+                 "svd-fit-r1-chains2": ["--rank", 1, "--chains", 2]}[run]
+    else:
+        rng = np.random.default_rng(6)
+        net = em.generate_network(-0.5, np.array([8.0, 4.0]),
+                                  random_uniform_frame(20, 2, rng), rng)
+        codes = net.codes.copy()
+        held = np.triu(rng.random(codes.shape) < 0.1, 1)
+        codes[held | held.T] = -1
+        write_net_csv(tmp_path / "net.csv", codes)
+        args = ["eigen-fit", "--input", tmp_path / "net.csv",
+                "--iters", 60, "--burn", 10, "--thin", 5]
+        args += {"eigen-fit-r2": ["--rank", 2],
+                 "eigen-fit-r1-chains2": ["--rank", 1, "--chains", 2]}[run]
+    assert run_cli(*args, "--seed", 7, "--out-dir", tmp_path / "fit") == 0
+    assert _fit_digests(tmp_path / "fit") == FIT_DIGESTS[run]

@@ -148,29 +148,55 @@ def test_zfill_probit_holds_signs_against_large_means():
         assert np.all(z[codes == 1] > 0) and np.all(z[codes == 0] < 0)
 
 
-@KERNELS
 class TestVectorKernels:
-    def test_mf_unit_norm_all_dims(self, mod):
+    def test_mf_unit_norm_all_dims(self):
         rng = np.random.default_rng(4)
         for m in (1, 2, 3, 10, 40):
             c = rng.standard_normal(m) * 4
-            u = mod.mf_vector(c, rng)
+            u = kernels.mf_vector(c, rng)
             assert abs(u @ u - 1.0) <= 1e-12
 
-    def test_bingham_unit_norm_and_sign_case(self, mod):
+    def test_bingham_unit_norm_and_sign_case(self):
         rng = np.random.default_rng(5)
-        y = mod.bingham_spectral(np.array([[2.5]]), rng)
+        y = kernels.bingham_spectral(np.array([[2.5]]), rng)
         assert y[0] in (-1.0, 1.0)
         for q in (2, 5, 30):
             _, a = _rotated(rng.uniform(-50, 50, q), rng)
-            y = mod.bingham_spectral(a, rng)
+            y = kernels.bingham_spectral(a, rng)
             assert abs(y @ y - 1.0) <= 1e-12
 
-    def test_sphere_uniform(self, mod):
+    def test_sphere_uniform(self):
         rng = np.random.default_rng(6)
-        draws = np.array([mod.sample_sphere(3, rng) for _ in range(30_000)])
+        draws = np.array([kernels.sample_sphere(3, rng) for _ in range(30_000)])
         np.testing.assert_allclose((draws**2).mean(axis=0), 1 / 3, atol=0.02)
         assert np.all(np.abs(draws.mean(axis=0)) < 0.02)
+
+
+def test_mf_vector_survives_a_zero_uniform():
+    # U = 0 accepts Wood's first proposal, with no log taken of it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        u = kernels.mf_vector(np.array([3.0, 1.0, 0.5]), FirstUniformZero(26))
+    assert abs(u @ u - 1.0) <= 1e-12
+
+
+def test_bingham_spectral_survives_a_zero_uniform():
+    # U = 0 in the first batch accepts that proposal, with no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        y = kernels.bingham_spectral(np.diag([2.0, 0.0, -1.0]), FirstUniformZero(27))
+    assert abs(y @ y - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("entry, fill", [(np.nan, 0.0), (np.inf, 0.0), (1.0, 1e200)],
+                         ids=["nan", "inf", "overflowing-norm"])
+def test_bingham_spectral_rejects_a_non_finite_matrix(entry, fill):
+    a = np.full((3, 3), fill)
+    a[0, 1] = a[1, 0] = entry
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InputError, match="non-finite entry or its squared norm"):
+            kernels.bingham_spectral(a, np.random.default_rng(28))
 
 
 def test_backend_reports_name():

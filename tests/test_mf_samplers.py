@@ -197,11 +197,18 @@ class TestMatrixKernel:
         assert np.all(np.abs(plus / n - p_plus) < 4.0 * se), (plus / n, p_plus)
 
 
+def _sweep_to(entries, counts=None):
+    """samplers._sweep from a frame of entries' shape, with a stub draw
+    that hands back entries' columns: the sweep's result is `entries`."""
+    start = random_uniform_frame(*entries.shape, np.random.default_rng(14))
+    return samplers._sweep(start, lambda j, u_j, others: entries[:, j], counts)
+
+
 def test_frame_repair_is_logged(caplog):
     u = random_uniform_frame(7, 3, np.random.default_rng(12)).entries
     drifted = u + 1e-9 * np.random.default_rng(13).standard_normal(u.shape)
     with caplog.at_level(logging.WARNING, logger="stiefel_mcmc"):
-        repaired = samplers._ensure_frame(drifted)
+        repaired = _sweep_to(drifted)
     assert frame_defect(repaired.entries) <= 1e-14
     [record] = caplog.records
     assert record.levelno == logging.WARNING
@@ -225,7 +232,7 @@ def test_frame_repair_is_counted(caplog, monkeypatch):
     drifted = u + 1e-9 * np.random.default_rng(13).standard_normal(u.shape)
     counts = DrawCounts()
     with caplog.at_level(logging.WARNING, logger="stiefel_mcmc"):
-        repaired = samplers._ensure_frame(drifted, counts)
+        repaired = _sweep_to(drifted, counts)
     assert counts.frame_repairs == 1
     assert repairs == [(7, 3)]
     [record] = caplog.records
@@ -254,7 +261,7 @@ def test_mf_sweep_counts_a_frame_repair(monkeypatch, caplog):
 def test_intact_frame_is_not_logged(caplog):
     u = random_uniform_frame(7, 3, np.random.default_rng(12)).entries
     with caplog.at_level(logging.WARNING, logger="stiefel_mcmc"):
-        samplers._ensure_frame(u)
+        _sweep_to(u)
     assert not caplog.records
 
 

@@ -1,6 +1,6 @@
-"""The column sweep's contract: column j is handed the other columns as
-they stand, and the one working buffer that holds them draws bit for bit
-what a fresh gather per column drew."""
+"""The column sweep's contract: column j is handed its own value and the
+other columns as they stand, and the one working buffer that holds the
+others draws bit for bit what a fresh gather per column drew."""
 import numpy as np
 import pytest
 
@@ -11,27 +11,32 @@ from stiefel_mcmc import (
     samplers,
 )
 
-from oracles import sweep_columns_gather
+from oracles import sweep_gather
 
 SWEEPS = 50
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4])
 def test_column_j_is_handed_the_other_columns_as_they_stand(r):
+    # and its own value before it is redrawn, which is column j of the
+    # starting frame; the sweep leaves that frame as it was
     rng = np.random.default_rng(40 + r)
-    start = rng.standard_normal((6, r))
-    drawn = rng.standard_normal((6, r))
+    start = random_uniform_frame(6, r, rng)
+    kept = start.entries.copy()
+    drawn = random_uniform_frame(6, r, rng).entries
     handed = []
 
-    def draw(j, others):
-        handed.append(others.copy())
+    def draw(j, u_j, others):
+        handed.append((u_j.copy(), others.copy()))
         return drawn[:, j]
 
-    out = samplers._sweep_columns(start.copy(), draw)
-    assert np.array_equal(out, drawn)
+    out = samplers._sweep(start, draw, None)
+    assert np.array_equal(out.entries, drawn)
+    assert np.array_equal(start.entries, kept)
     assert len(handed) == r
-    for j, others in enumerate(handed):
-        u_now = np.column_stack([drawn[:, :j], start[:, j:]])
+    for j, (u_j, others) in enumerate(handed):
+        assert np.array_equal(u_j, kept[:, j])
+        u_now = np.column_stack([drawn[:, :j], kept[:, j:]])
         expected = np.delete(u_now, j, axis=1)
         assert others.shape == expected.shape == (6, r - 1)
         assert np.array_equal(others, expected)
@@ -67,7 +72,7 @@ def test_working_buffer_draws_what_the_gather_drew(sweeps, r, monkeypatch):
     # the kernels' BLAS products sum in an order set by the layout of the
     # other columns, so this also pins the buffer's Fortran order
     buffered = sweeps(r, np.random.default_rng(60 + r))
-    monkeypatch.setattr(samplers, "_sweep_columns", sweep_columns_gather)
+    monkeypatch.setattr(samplers, "_sweep", sweep_gather)
     gathered = sweeps(r, np.random.default_rng(60 + r))
     assert buffered.tobytes() == gathered.tobytes()
 
